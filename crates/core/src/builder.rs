@@ -29,7 +29,7 @@
 use crate::cluster::SkueueCluster;
 use crate::config::{Mode, ProtocolConfig};
 use skueue_dht::Payload;
-use skueue_sim::{DeliveryModel, ExecMode, SimConfig};
+use skueue_sim::{DeliveryModel, SimConfig};
 use skueue_trace::TraceLevel;
 use std::marker::PhantomData;
 
@@ -392,11 +392,6 @@ impl<T: Payload> SkueueBuilder<T> {
         }
     }
 
-    /// The [`ExecMode`] this builder currently describes.
-    pub fn exec_mode(&self) -> ExecMode {
-        ExecMode::from_threads(self.threads)
-    }
-
     /// Validates the configuration and builds the cluster.
     pub fn build(self) -> Result<SkueueCluster<T>, BuildError> {
         let sim_cfg = self.sim_config();
@@ -406,7 +401,7 @@ impl<T: Payload> SkueueBuilder<T> {
             self.processes,
             protocol_cfg,
             sim_cfg,
-            self.exec_mode(),
+            self.threads,
         ))
     }
 }

@@ -62,7 +62,7 @@ use skueue_overlay::{
 use skueue_shard::{ShardId, ShardMap, ShardRouter};
 use skueue_sim::ids::{NodeId, ProcessId, RequestId};
 use skueue_sim::metrics::Histogram;
-use skueue_sim::{ExecMode, SimConfig, SimError, Simulation};
+use skueue_sim::{SimConfig, SimError, Simulation};
 use skueue_trace::{
     export_chrome_trace, export_chrome_trace_with_runtime, TraceAnalysis, TraceEvent, TraceId,
     TraceLevel, TraceLog, TraceRecord,
@@ -272,7 +272,7 @@ impl<T: Payload> SkueueCluster<T> {
         n: usize,
         mut cfg: ProtocolConfig,
         sim_cfg: SimConfig,
-        exec: ExecMode,
+        threads: usize,
     ) -> Self {
         debug_assert!(n >= 1, "validated by SkueueBuilder::build");
         // Normalise the shard count (stack mode pins it to 1) so every
@@ -378,11 +378,9 @@ impl<T: Payload> SkueueCluster<T> {
             index_of.insert(pid, i);
         }
 
-        if exec.is_parallel() {
-            // Worker threads only help when there is more than one lane to
-            // run; `enable_parallel` quietly stays single-threaded otherwise.
-            sim.enable_parallel(exec.threads());
-        }
+        // `enable_parallel` stays single-threaded for `threads <= 1` or a
+        // single lane, and caps the worker count at the lane count.
+        sim.enable_parallel(threads);
 
         SkueueCluster {
             sim,

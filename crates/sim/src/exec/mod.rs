@@ -1,20 +1,12 @@
 //! Execution backends for the round loop.
 //!
-//! PR 4 made anchor shards independent by construction: every protocol
-//! message stays inside its shard's lane, so the per-round work of different
-//! lanes is embarrassingly parallel.  This module supplies the machinery
-//! that lets [`crate::Simulation`] exploit that:
-//!
-//! * [`ExecMode`] — the user-facing switch between the classic
-//!   single-threaded backend and the parallel lane backend,
-//! * [`spsc`] — a bounded single-producer/single-consumer ring buffer used
-//!   as the driver→worker job channel (one per worker thread),
-//! * [`mpmc`] — a bounded multi-producer/multi-consumer queue (Vyukov-style
-//!   per-slot sequence numbers, in the spirit of Nikolaev's SCQ) used as the
-//!   shared worker→driver collection queue,
-//! * [`pool`] — the persistent worker pool that executes one lane's round on
-//!   a dedicated OS thread and hands the lane back over the collection
-//!   queue, forming the deterministic round barrier.
+//! Anchor shards are independent by construction: every protocol message
+//! stays inside its shard's lane, so the per-round work of different lanes
+//! is embarrassingly parallel.  This module supplies the machinery that lets
+//! [`crate::Simulation`] exploit that: [`pool`], a persistent worker pool
+//! that runs one lane's round on a dedicated OS thread and hands the lane
+//! back over a `std::sync::mpsc` channel, forming the deterministic round
+//! barrier.  [`crate::Simulation::enable_parallel`] switches it on.
 //!
 //! Determinism contract: the pool moves whole lanes (boxed) between threads;
 //! a lane's round is computed entirely by lane-owned state, and the driver
@@ -22,72 +14,12 @@
 //! schedule of *threads* therefore never influences the schedule of
 //! *messages* — the merged history is byte-identical to the single-threaded
 //! backend's, whatever the thread count.
-//!
-//! The queues are hand-rolled (the workspace builds offline, `crates/compat`
-//! idiom: no crates.io) and are the only place in `skueue-sim` where unsafe
-//! code is permitted; both confine it to slot reads/writes guarded by the
-//! head/tail (resp. per-slot sequence) protocol.
 
-#[allow(unsafe_code)]
-pub mod mpmc;
 pub mod pool;
-#[allow(unsafe_code)]
-pub mod spsc;
 
-pub use mpmc::MpmcQueue;
 pub use pool::{RoundTask, WorkerPool};
-pub use spsc::{spsc_channel, SpscReceiver, SpscSender};
 
 use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Which backend executes the simulation's lanes each round.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum ExecMode {
-    /// All lanes run on the calling thread, in lane order (the classic
-    /// backend; the default).
-    #[default]
-    SingleThread,
-    /// Lanes are fanned out to a persistent pool of worker threads and
-    /// recombined behind a deterministic round barrier.  Lane `l` always
-    /// runs on worker `l % threads`, so the mapping — and the merged
-    /// history — is independent of scheduling.
-    Parallel {
-        /// Number of worker threads (values `<= 1` behave like
-        /// [`ExecMode::SingleThread`]).
-        threads: usize,
-    },
-}
-
-impl ExecMode {
-    /// Normalises a thread count into a mode: `0` and `1` select the
-    /// single-threaded backend.
-    pub fn from_threads(threads: usize) -> Self {
-        if threads <= 1 {
-            ExecMode::SingleThread
-        } else {
-            ExecMode::Parallel { threads }
-        }
-    }
-
-    /// The number of OS threads the mode asks for (1 for single-threaded).
-    pub fn threads(&self) -> usize {
-        match *self {
-            ExecMode::SingleThread => 1,
-            ExecMode::Parallel { threads } => threads.max(1),
-        }
-    }
-
-    /// True for the parallel backend with at least two workers.
-    pub fn is_parallel(&self) -> bool {
-        self.threads() > 1
-    }
-}
-
-/// Pads a value to its own cache line pair so the producer and consumer
-/// cursors of the queues never false-share.
-#[repr(align(128))]
-#[derive(Debug, Default)]
-pub(crate) struct CachePadded<T>(pub T);
 
 static NEXT_THREAD_TOKEN: AtomicU64 = AtomicU64::new(1);
 
@@ -106,18 +38,6 @@ pub fn thread_token() -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn exec_mode_normalisation() {
-        assert_eq!(ExecMode::from_threads(0), ExecMode::SingleThread);
-        assert_eq!(ExecMode::from_threads(1), ExecMode::SingleThread);
-        assert_eq!(ExecMode::from_threads(4), ExecMode::Parallel { threads: 4 });
-        assert_eq!(ExecMode::default().threads(), 1);
-        assert_eq!(ExecMode::Parallel { threads: 8 }.threads(), 8);
-        assert!(!ExecMode::SingleThread.is_parallel());
-        assert!(ExecMode::Parallel { threads: 2 }.is_parallel());
-        assert!(!ExecMode::Parallel { threads: 1 }.is_parallel());
-    }
 
     #[test]
     fn thread_tokens_are_stable_per_thread_and_distinct_across() {

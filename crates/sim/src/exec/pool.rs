@@ -1,27 +1,24 @@
 //! The persistent worker pool behind [`crate::Simulation`]'s parallel
 //! backend.
 //!
-//! One pool owns `threads` OS threads.  Each round the driver *moves* every
-//! lane (a boxed [`RoundTask`]) to its worker over that worker's private
-//! SPSC ring, and the workers hand finished lanes back over one shared MPMC
-//! collection queue.  The driver waits until all lanes have returned — that
-//! wait **is** the deterministic round barrier: no lane can observe round
+//! One pool owns `threads` OS threads, each with a private job channel and a
+//! private result channel (`std::sync::mpsc`).  Each round the driver
+//! *moves* every lane (a boxed [`RoundTask`]) to worker `l % threads` and
+//! then takes the lanes back in lane order with [`WorkerPool::collect`].  A
+//! worker runs its jobs in the order they arrive, so lane `l` is always the
+//! next result on its worker's channel.  The driver's wait for the last lane
+//! **is** the deterministic round barrier: no lane can observe round
 //! `r + 1` state before every lane has finished round `r`.
 //!
-//! Lane `l` is always dispatched to worker `l % threads`, so the
-//! lane→thread mapping is a pure function of the configuration; thread
+//! The lane→thread mapping is a pure function of the configuration; thread
 //! scheduling can change *when* a lane runs, never *what* it computes.
 //!
-//! Workers park when their ring is empty and are unparked on submit; the
-//! driver parks (with a timeout, to tolerate missed unparks) while the
-//! collection queue is empty.  On a loaded host this costs two futex hops
-//! per worker per round — the cost model PERF.md's barrier section measures.
+//! A task that panics kills its worker, which closes the worker's channels;
+//! the driver's next `submit` or `collect` on that worker then panics with
+//! "lane panicked" instead of waiting forever.
 
-use super::mpmc::MpmcQueue;
-use super::spsc::{spsc_channel, SpscSender};
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 /// A unit of per-round work that can be shipped to a worker thread.
 pub trait RoundTask: Send + 'static {
@@ -29,13 +26,10 @@ pub trait RoundTask: Send + 'static {
     fn run_task(&mut self, round: u64);
 }
 
-enum Job<J> {
-    Run {
-        idx: usize,
-        task: Box<J>,
-        round: u64,
-    },
-    Stop,
+struct Worker<J> {
+    jobs: Sender<(Box<J>, u64)>,
+    results: Receiver<Box<J>>,
+    handle: JoinHandle<()>,
 }
 
 /// A persistent pool of worker threads executing [`RoundTask`]s.
@@ -43,110 +37,75 @@ enum Job<J> {
 /// The pool is generic without bounds so it can live inside
 /// `Simulation<A>` unconditionally; only [`WorkerPool::new`] requires the
 /// task to actually be shippable.
+// Persistent, not spawned per round: `std::thread::scope` per round cost 1.6x peak RSS on `burst`.
 pub struct WorkerPool<J> {
-    senders: Vec<SpscSender<Job<J>>>,
-    handles: Vec<JoinHandle<()>>,
-    results: Arc<MpmcQueue<(usize, Box<J>)>>,
+    workers: Vec<Worker<J>>,
 }
 
 impl<J: RoundTask> WorkerPool<J> {
-    /// Spawns `threads` workers sized for up to `max_tasks` in-flight tasks
-    /// per round.
-    pub fn new(threads: usize, max_tasks: usize) -> Self {
-        let threads = threads.max(1);
-        let capacity = (max_tasks + 2).next_power_of_two();
-        let results = Arc::new(MpmcQueue::new(capacity));
-        let driver = std::thread::current();
-        let mut senders = Vec::with_capacity(threads);
-        let mut handles = Vec::with_capacity(threads);
-        for w in 0..threads {
-            let (tx, mut rx) = spsc_channel::<Job<J>>(capacity);
-            let results = Arc::clone(&results);
-            let driver = driver.clone();
-            let handle = std::thread::Builder::new()
-                .name(format!("skueue-lane-{w}"))
-                .spawn(move || loop {
-                    match rx.pop() {
-                        Some(Job::Run {
-                            idx,
-                            mut task,
-                            round,
-                        }) => {
+    /// Spawns `threads` workers (at least one).
+    pub fn new(threads: usize) -> Self {
+        let workers = (0..threads.max(1))
+            .map(|w| {
+                let (jobs, job_rx) = channel::<(Box<J>, u64)>();
+                let (result_tx, results) = channel();
+                let handle = std::thread::Builder::new()
+                    .name(format!("skueue-lane-{w}"))
+                    .spawn(move || {
+                        // Ends when the pool drops its job sender.
+                        for (mut task, round) in job_rx {
                             task.run_task(round);
-                            let mut item = (idx, task);
-                            while let Err(back) = results.push(item) {
-                                item = back;
-                                std::thread::yield_now();
+                            if result_tx.send(task).is_err() {
+                                break;
                             }
-                            driver.unpark();
                         }
-                        Some(Job::Stop) => break,
-                        // The park token makes this race-free: an unpark
-                        // that lands between the failed pop and the park
-                        // makes park return immediately.
-                        None => std::thread::park(),
-                    }
-                })
-                .expect("failed to spawn lane worker thread");
-            senders.push(tx);
-            handles.push(handle);
-        }
-        WorkerPool {
-            senders,
-            handles,
-            results,
-        }
+                    })
+                    .expect("failed to spawn lane worker thread");
+                Worker {
+                    jobs,
+                    results,
+                    handle,
+                }
+            })
+            .collect();
+        WorkerPool { workers }
     }
 }
 
 impl<J> WorkerPool<J> {
     /// Number of worker threads.
     pub fn worker_count(&self) -> usize {
-        self.senders.len()
+        self.workers.len()
     }
 
     /// Ships task `idx` to its worker (`idx % worker_count`) for `round`.
     pub fn submit(&mut self, idx: usize, task: Box<J>, round: u64) {
-        let w = idx % self.senders.len();
-        let mut job = Job::Run { idx, task, round };
-        while let Err(back) = self.senders[w].push(job) {
-            job = back;
-            self.handles[w].thread().unpark();
-            std::thread::yield_now();
-        }
-        self.handles[w].thread().unpark();
+        let w = idx % self.workers.len();
+        self.workers[w]
+            .jobs
+            .send((task, round))
+            .unwrap_or_else(|_| panic!("lane worker {w} exited (lane panicked)"));
     }
 
-    /// Waits for the next finished task.  Panics if a worker died (a task
-    /// panicked on its thread) — the simulation cannot continue with a lost
-    /// lane.
-    pub fn collect_one(&mut self) -> (usize, Box<J>) {
-        loop {
-            if let Some(item) = self.results.pop() {
-                return item;
-            }
-            if self.handles.iter().any(|h| h.is_finished()) && self.results.is_empty() {
-                panic!("a lane worker thread exited while work was outstanding (lane panicked)");
-            }
-            std::thread::park_timeout(Duration::from_millis(1));
-        }
+    /// Waits for task `idx` to finish and takes it back.  Tasks must be
+    /// collected in the order they were submitted.  Panics if the task's
+    /// worker died (a task panicked on its thread) — the simulation cannot
+    /// continue with a lost lane.
+    pub fn collect(&mut self, idx: usize) -> Box<J> {
+        let w = idx % self.workers.len();
+        self.workers[w].results.recv().unwrap_or_else(|_| {
+            panic!("lane worker {w} exited while task {idx} was outstanding (lane panicked)")
+        })
     }
 }
 
 impl<J> Drop for WorkerPool<J> {
     fn drop(&mut self) {
-        for (w, tx) in self.senders.iter_mut().enumerate() {
-            let mut job = Job::Stop;
-            while let Err(back) = tx.push(job) {
-                job = back;
-                self.handles[w].thread().unpark();
-                std::thread::yield_now();
-            }
-            self.handles[w].thread().unpark();
-        }
-        for handle in self.handles.drain(..) {
-            // A worker that panicked already aborted the run via
-            // `collect_one`; during unwinding, ignore the secondary error.
+        // Close every job channel first so the workers wind down together.
+        let handles: Vec<JoinHandle<()>> = self.workers.drain(..).map(|w| w.handle).collect();
+        for handle in handles {
+            // A worker that panicked already aborted the run via `submit` or
+            // `collect`; during unwinding, ignore the secondary error.
             let _ = handle.join();
         }
     }
@@ -161,36 +120,61 @@ mod tests {
         input: u64,
         output: u64,
         ran_on: u64,
+        /// Signals here once this task has finished.
+        done: Option<Sender<()>>,
+        /// Waits for this many signals before finishing.
+        wait_for: Option<(Receiver<()>, usize)>,
+    }
+
+    impl Doubler {
+        fn boxed(input: u64) -> Box<Self> {
+            Box::new(Doubler {
+                input,
+                output: 0,
+                ran_on: 0,
+                done: None,
+                wait_for: None,
+            })
+        }
     }
 
     impl RoundTask for Doubler {
         fn run_task(&mut self, round: u64) {
+            if let Some((rx, signals)) = &self.wait_for {
+                for _ in 0..*signals {
+                    rx.recv().expect("signalling tasks run on other workers");
+                }
+            }
             self.output = self.input * 2 + round;
             self.ran_on = thread_token();
+            if let Some(tx) = &self.done {
+                tx.send(()).expect("the waiting task is still running");
+            }
         }
     }
 
     #[test]
     fn pool_runs_tasks_and_returns_them() {
-        let mut pool: WorkerPool<Doubler> = WorkerPool::new(3, 8);
+        let mut pool: WorkerPool<Doubler> = WorkerPool::new(3);
         assert_eq!(pool.worker_count(), 3);
         for repeat in 0..50u64 {
-            for idx in 0..8usize {
-                pool.submit(
-                    idx,
-                    Box::new(Doubler {
-                        input: idx as u64,
-                        output: 0,
-                        ran_on: 0,
-                    }),
-                    repeat,
-                );
+            // Uneven work: task 0 (worker 0) cannot finish before tasks 5
+            // and 7, the last tasks of workers 1 and 2, so every task on
+            // those workers finishes before task 0.
+            let (tx, rx) = channel();
+            let mut tasks: Vec<Box<Doubler>> = (0..8).map(Doubler::boxed).collect();
+            tasks[0].wait_for = Some((rx, 2));
+            tasks[5].done = Some(tx.clone());
+            tasks[7].done = Some(tx);
+            for (idx, task) in tasks.into_iter().enumerate() {
+                pool.submit(idx, task, repeat);
             }
-            let mut seen = [false; 8];
-            for _ in 0..8 {
-                let (idx, task) = pool.collect_one();
-                assert!(!seen[idx], "task {idx} returned twice");
-                seen[idx] = true;
+            for idx in 0..8usize {
+                let task = pool.collect(idx);
+                assert_eq!(
+                    task.input, idx as u64,
+                    "collect({idx}) returned another task"
+                );
                 assert_eq!(task.output, idx as u64 * 2 + repeat);
                 assert_ne!(task.ran_on, 0);
                 assert_ne!(
@@ -204,21 +188,13 @@ mod tests {
 
     #[test]
     fn distinct_workers_get_distinct_threads() {
-        let mut pool: WorkerPool<Doubler> = WorkerPool::new(2, 4);
+        let mut pool: WorkerPool<Doubler> = WorkerPool::new(2);
         for idx in 0..4usize {
-            pool.submit(
-                idx,
-                Box::new(Doubler {
-                    input: 0,
-                    output: 0,
-                    ran_on: 0,
-                }),
-                1,
-            );
+            pool.submit(idx, Doubler::boxed(0), 1);
         }
         let mut token_of_worker = [0u64; 2];
-        for _ in 0..4 {
-            let (idx, task) = pool.collect_one();
+        for idx in 0..4usize {
+            let task = pool.collect(idx);
             let w = idx % 2;
             if token_of_worker[w] == 0 {
                 token_of_worker[w] = task.ran_on;
@@ -234,7 +210,7 @@ mod tests {
 
     #[test]
     fn drop_shuts_workers_down() {
-        let pool: WorkerPool<Doubler> = WorkerPool::new(4, 4);
+        let pool: WorkerPool<Doubler> = WorkerPool::new(4);
         drop(pool); // must not hang
     }
 }

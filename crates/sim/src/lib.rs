@@ -39,11 +39,13 @@
 //! Skueue cluster maps every anchor shard to its own lane).  Each lane owns
 //! its nodes, its slice of the delivery wheel and an independent RNG
 //! stream, so a round decomposes into per-lane work recombined in fixed
-//! lane order.  [`ExecMode`] selects whether lanes run on the calling
-//! thread or on a pool of worker threads behind a deterministic round
-//! barrier (see [`exec`]); both backends produce byte-identical results.
+//! lane order.  Lanes run on the calling thread by default;
+//! [`Simulation::enable_parallel`] runs them on a persistent pool of worker
+//! threads, handed over `std::sync::mpsc` channels, behind a deterministic
+//! round barrier (see [`exec`]).  Both backends produce byte-identical
+//! results.
 
-#![deny(unsafe_code)] // `exec`'s queues opt in locally; everything else is forbidden.
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod actor;
@@ -64,7 +66,6 @@ pub use actor::{Actor, Context};
 pub use config::SimConfig;
 pub use delivery::DeliveryModel;
 pub use error::SimError;
-pub use exec::ExecMode;
 pub use ids::{NodeId, ProcessId, RequestId};
 pub use message::Envelope;
 pub use metrics::{Histogram, SimMetrics, Summary};

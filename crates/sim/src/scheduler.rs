@@ -35,7 +35,9 @@
 //! independence (all protocol traffic is intra-shard) means the cross-lane
 //! detour never fires there.  Lanes make the round loop parallelisable: with
 //! [`Simulation::enable_parallel`] each lane's round executes on a worker
-//! thread of a persistent [`crate::exec::WorkerPool`] behind a deterministic
+//! thread of a persistent [`crate::exec::WorkerPool`].  The driver sends lane
+//! `l` to worker `l % threads` over a `std::sync::mpsc` channel and takes the
+//! lanes back in lane order; waiting for the last one is the deterministic
 //! round barrier.  Because a lane's round depends only on lane-owned state
 //! and merges happen in lane order, the parallel backend is **byte-identical**
 //! to the single-threaded one for every seed and any thread count.
@@ -585,7 +587,7 @@ impl<A: Actor> Simulation<A> {
             self.pool = None;
             return;
         }
-        self.pool = Some(WorkerPool::new(workers, self.lanes.len()));
+        self.pool = Some(WorkerPool::new(workers));
     }
 
     /// Number of worker threads of the parallel backend (1 when the
@@ -759,9 +761,8 @@ impl<A: Actor> Simulation<A> {
                 let lane = self.lanes[idx].take().expect("lane present between rounds");
                 pool.submit(idx, lane, round);
             }
-            for _ in 0..self.lanes.len() {
-                let (idx, lane) = pool.collect_one();
-                self.lanes[idx] = Some(lane);
+            for (idx, slot) in self.lanes.iter_mut().enumerate() {
+                *slot = Some(pool.collect(idx));
             }
         } else {
             for slot in &mut self.lanes {
@@ -1362,7 +1363,7 @@ mod tests {
 
     #[test]
     fn parallel_backend_is_bit_identical_to_single_thread() {
-        for &threads in &[1usize, 2, 4] {
+        for &threads in &[0usize, 1, 2, 4] {
             let mut reference = pinger_sim(8, 4, 1, 42);
             let mut parallel = pinger_sim(8, 4, threads, 42);
             assert_eq!(parallel.parallel_threads(), threads.clamp(1, 4));
@@ -1412,6 +1413,31 @@ mod tests {
             toggled.run_round();
         }
         assert_eq!(pinger_fingerprint(&reference), pinger_fingerprint(&toggled));
+    }
+
+    #[derive(Debug)]
+    struct Bomb;
+
+    impl Actor for Bomb {
+        type Msg = ();
+
+        fn on_message(&mut self, _from: NodeId, _msg: (), _ctx: &mut Context<()>) {}
+
+        fn on_timeout(&mut self, _ctx: &mut Context<()>) {
+            panic!("bomb went off");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "lane panicked")]
+    fn a_panicking_lane_surfaces_from_run_round_on_the_parallel_backend() {
+        let mut sim = Simulation::new(SimConfig::synchronous(1)).unwrap();
+        sim.configure_lanes(2).unwrap();
+        sim.add_node_in_lane(0, Bomb);
+        sim.add_node_in_lane(1, Bomb);
+        sim.enable_parallel(2);
+        assert_eq!(sim.parallel_threads(), 2);
+        sim.run_round();
     }
 
     /// A node that counts received payloads and asserts delivery-time bounds.
