@@ -1097,6 +1097,11 @@ impl<T: Payload> SkueueCluster<T> {
     /// event stream, and refreshes membership states.
     pub fn run_round(&mut self) {
         self.sim.run_round();
+        // The cluster hosts every node it addresses; a message to any other
+        // id is a protocol bug.
+        self.sim.drain_egress(|from, to, msg| {
+            panic!("{from:?} sent {msg:?} to unknown node {to:?}");
+        });
         self.collect_completions();
         self.refresh_process_states();
     }

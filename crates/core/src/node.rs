@@ -1752,10 +1752,6 @@ impl<T: Payload> Actor for SkueueNode<T> {
         self.flush_dht_buffers(ctx);
     }
 
-    fn is_active(&self) -> bool {
-        !matches!(self.role, Role::Draining { .. })
-    }
-
     /// A node's `TIMEOUT` is a provable no-op — and is therefore skipped by
     /// the scheduler — while it has nothing a wave would carry, its wave
     /// pipeline is full, or its latest aggregate is unconfirmed, and no

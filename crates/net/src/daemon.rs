@@ -1,78 +1,64 @@
-//! The `skueue-node` daemon: hosts a slice of the cluster's processes as
-//! real threads and speaks the frame protocol with its peers.
+//! The `skueue-node` daemon: hosts a slice of the cluster's processes in one
+//! [`Simulation`] and speaks the frame protocol with its peers.
 //!
 //! # Thread anatomy
 //!
 //! ```text
-//!            TCP accept                 frames                 events
-//!  listener ───────────► reader (1/conn) ────► switch (1) ◄──────── node threads (3/process)
-//!                                                 │  ▲
-//!                        peer daemons ◄───────────┘  └── completions → subscribed ingress conns
+//!            TCP accept                 frames                egress frames
+//!  listener ───────────► reader (1/conn) ────► host (1) ──────────────────► peer daemons
+//!                                                 │
+//!                                                 └── completions → subscribed ingress conns
 //! ```
 //!
 //! * One **listener** thread accepts connections; each connection gets a
-//!   **reader** thread that decodes frames and forwards them as events.
-//! * One **switch** thread owns all routing state: the inbox of every hosted
-//!   virtual node, one outgoing TCP connection per peer daemon (dialled on
-//!   demand, carrying a [`NetFrame::Hello`] preamble), the hosted-process
-//!   table, and the set of completion-subscribed connections.
-//! * Each hosted virtual node runs on its own **node thread**: a tick loop
-//!   that plays the role of the simulator's round — deliver pending
-//!   messages, then fire the `TIMEOUT` action.  Outgoing messages go through
-//!   a [`TcpTransport`], the real-clock implementation of the
-//!   [`skueue_sim::Transport`] seam.
+//!   **reader** thread that decodes frames and forwards them to the host.
+//! * The **host** thread (the caller of [`run`]) owns everything else: a
+//!   [`Simulation`] holding every virtual node of this daemon's processes
+//!   under its cluster-wide id (`3·pid + kind`, see [`crate::spec`]), one
+//!   outgoing TCP connection per peer daemon (dialled on demand, carrying a
+//!   [`NetFrame::Hello`] preamble), the hosted-process table and the
+//!   completion-subscribed connections.
 //!
-//! Placement is static (process `p` lives on daemon `p mod d`, see
-//! [`crate::spec`]), so a `JOIN` creates the three node threads locally and
-//! the join protocol does the rest over the wire.
+//! The host loop applies what the readers delivered — a `Proto` frame
+//! becomes [`Simulation::inject`], client operations and churn become
+//! driver-side calls on the nodes, as in `SkueueCluster` — then runs one
+//! synchronous round and writes its egress ([`Simulation::drain_egress`]) to
+//! the peers as `Proto` frames and its completions to the subscribers.
+//! While messages are in flight the next round runs at once; otherwise the
+//! host waits up to one tick for the next frame.
+//!
+//! Placement is static (process `p` lives on daemon `p mod d`), so a `JOIN`
+//! adds the three nodes locally and the join protocol does the rest over the
+//! wire.
 
 use std::collections::HashMap;
 use std::io::{self, BufReader};
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, RecvTimeoutError, Sender};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
-use skueue_core::{BatchOp, Payload, SkueueMsg, SkueueNode};
+use skueue_core::{BatchOp, Payload, ProtocolConfig, SkueueMsg, SkueueNode};
 use skueue_overlay::VirtualId;
-use skueue_sim::actor::{Actor, Context};
-use skueue_sim::ids::NodeId;
-use skueue_sim::{SimRng, Transport};
+use skueue_shard::ShardId;
+use skueue_sim::ids::{NodeId, ProcessId, RequestId};
+use skueue_sim::Simulation;
 use skueue_verify::OpRecord;
 
 use crate::codec::Wire;
 use crate::frame::{read_frame, write_frame, NetFrame};
 use crate::spec::{node_of, ClusterSpec};
-use crate::transport::TcpTransport;
 
-/// An event on the switch thread's queue.
-#[derive(Debug)]
-pub(crate) enum SwitchEvent<T> {
-    /// A protocol message to route (from a local node or a peer daemon).
-    Route {
-        /// Sending virtual node.
-        from: NodeId,
-        /// Destination virtual node.
-        to: NodeId,
-        /// The message.
-        msg: SkueueMsg<T>,
-    },
-    /// A completed client operation to stream to subscribers.
-    Completion(OpRecord<T>),
-    /// A control frame from a ctl or ingress connection.
-    Control {
-        frame: NetFrame<T>,
-        writer: ConnWriter,
-    },
-}
+/// A decoded frame and the connection it arrived on (where replies go).
+type Event<T> = (NetFrame<T>, ConnWriter);
 
 /// The write half of an accepted connection, shareable across threads.
 /// `write_frame` issues a single `write_all` per frame, so the mutex is the
 /// only interleaving guard needed.
 #[derive(Debug, Clone)]
-pub(crate) struct ConnWriter {
+struct ConnWriter {
     id: u64,
     stream: Arc<Mutex<TcpStream>>,
 }
@@ -82,31 +68,6 @@ impl ConnWriter {
         let mut guard = self.stream.lock().expect("writer mutex poisoned");
         write_frame(&mut *guard, frame)
     }
-}
-
-/// Events a node thread consumes.
-#[derive(Debug)]
-enum NodeEvent<T> {
-    /// A protocol message addressed to this node.
-    Deliver { from: NodeId, msg: SkueueMsg<T> },
-    /// A client operation to issue (middle nodes only).
-    Inject {
-        id: skueue_sim::ids::RequestId,
-        insert: bool,
-        value: T,
-    },
-    /// Ask the node to leave the overlay.
-    Leave,
-    /// Terminate the thread.
-    Stop,
-}
-
-/// Shared lifecycle cell, updated by a process's middle-node thread and read
-/// by the switch when answering [`NetFrame::Status`].
-#[derive(Debug)]
-struct ProcStatus {
-    integrated: AtomicBool,
-    left: AtomicBool,
 }
 
 /// A running daemon spawned in-process (used by tests and the load
@@ -141,7 +102,7 @@ pub fn spawn<T: Payload + Wire>(
     DaemonHandle { thread }
 }
 
-/// Runs the daemon's switch loop on the calling thread until a
+/// Runs the daemon's host loop on the calling thread until a
 /// [`NetFrame::Shutdown`] arrives, then tears every helper thread down.
 pub fn run_with_listener<T: Payload + Wire>(
     spec: &ClusterSpec,
@@ -149,15 +110,12 @@ pub fn run_with_listener<T: Payload + Wire>(
     listener: TcpListener,
 ) -> io::Result<()> {
     let local_addr = listener.local_addr()?;
-    let (tx, rx) = channel::<SwitchEvent<T>>();
-    let in_flight = Arc::new(AtomicUsize::new(0));
+    let (tx, rx) = channel::<Event<T>>();
     let shutting_down = Arc::new(AtomicBool::new(false));
     let conns: Arc<Mutex<Vec<TcpStream>>> = Arc::new(Mutex::new(Vec::new()));
     let readers: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
 
     let listener_thread = {
-        let tx = tx.clone();
-        let in_flight = Arc::clone(&in_flight);
         let shutting_down = Arc::clone(&shutting_down);
         let conns = Arc::clone(&conns);
         let readers = Arc::clone(&readers);
@@ -183,183 +141,24 @@ pub fn run_with_listener<T: Payload + Wire>(
                 };
                 next_conn_id += 1;
                 let tx = tx.clone();
-                let in_flight = Arc::clone(&in_flight);
-                let handle = thread::spawn(move || reader_loop(stream, writer, tx, in_flight));
+                let handle = thread::spawn(move || reader_loop(stream, writer, tx));
                 readers.lock().expect("readers mutex").push(handle);
             }
         })
     };
 
-    // Construct this daemon's slice of the initial membership.
-    let cfg = spec.protocol_config();
-    let (initial, budgets) = spec.initial_membership();
-    let tick = Duration::from_millis(spec.tick_ms);
-    let transport = TcpTransport::new(tx.clone(), Arc::clone(&in_flight));
-    let mut inboxes: HashMap<u64, Sender<NodeEvent<T>>> = HashMap::new();
-    let mut node_threads: Vec<JoinHandle<()>> = Vec::new();
-    let mut procs: Vec<(u64, [NodeId; 3], Arc<ProcStatus>)> = Vec::new();
-    for proc_spec in initial
-        .into_iter()
-        .filter(|p| spec.daemon_of(p.pid) == index)
-    {
-        let status = Arc::new(ProcStatus {
-            integrated: AtomicBool::new(true),
-            left: AtomicBool::new(false),
-        });
-        let mut ids = [NodeId(0); 3];
-        for (vid, view, is_anchor) in proc_spec.views {
-            let mut node_cfg = cfg;
-            node_cfg.bit_budget = budgets[proc_spec.shard as usize];
-            let mut node = SkueueNode::<T>::new(node_cfg, proc_spec.shard, view, is_anchor);
-            let id = node_of(vid);
-            node.trace_recorder_mut().attach(id.0, proc_spec.shard);
-            ids[vid.kind.index()] = id;
-            let status_cell =
-                (vid.kind == skueue_overlay::VKind::Middle).then(|| Arc::clone(&status));
-            let (inbox, handle) = spawn_node(
-                node,
-                id,
-                transport.clone(),
-                tick,
-                status_cell,
-                spec.hash_seed,
-            );
-            inboxes.insert(id.0, inbox);
-            node_threads.push(handle);
-        }
-        procs.push((proc_spec.pid.0, ids, status));
-    }
-
-    // The switch loop.
-    let mut peers: Vec<Option<TcpStream>> = (0..spec.num_daemons()).map(|_| None).collect();
-    let mut sinks: HashMap<u64, ConnWriter> = HashMap::new();
-    while let Ok(event) = rx.recv() {
-        match event {
-            SwitchEvent::Route { from, to, msg } => {
-                route(spec, index, &inboxes, &mut peers, &in_flight, from, to, msg);
-            }
-            SwitchEvent::Completion(record) => {
-                sinks.retain(|_, sink| {
-                    sink.write(&NetFrame::Completion {
-                        record: record.clone(),
-                    })
-                    .is_ok()
-                });
-            }
-            SwitchEvent::Control { frame, writer } => match frame {
-                NetFrame::Inject { id, insert, value } => {
-                    // Fire-and-forget: the completion stream is the reply.
-                    let target = node_of(VirtualId::middle(id.origin));
-                    if let Some(inbox) = inboxes.get(&target.0) {
-                        let _ = inbox.send(NodeEvent::Inject { id, insert, value });
-                    } else {
-                        eprintln!(
-                            "skueue-node[{index}]: inject for unhosted process {}",
-                            id.origin.0
-                        );
-                    }
-                }
-                NetFrame::Subscribe => {
-                    sinks.insert(writer.id, writer.clone());
-                    let _ = writer.write(&NetFrame::<T>::Ok);
-                }
-                NetFrame::Join { pid, bootstrap } => {
-                    let reply = if spec.daemon_of(pid) != index {
-                        NetFrame::<T>::Err(format!("process {} is not placed here", pid.0))
-                    } else if procs.iter().any(|(p, _, _)| *p == pid.0) {
-                        NetFrame::<T>::Err(format!("process {} already hosted", pid.0))
-                    } else {
-                        let shard = spec.shard_of(pid);
-                        let status = Arc::new(ProcStatus {
-                            integrated: AtomicBool::new(false),
-                            left: AtomicBool::new(false),
-                        });
-                        let mut ids = [NodeId(0); 3];
-                        for (vid, view) in spec.joining_views(pid) {
-                            let mut node_cfg = cfg;
-                            node_cfg.bit_budget = budgets[shard as usize];
-                            let mut node = SkueueNode::<T>::new_joining(node_cfg, shard, view);
-                            node.set_bootstrap(bootstrap);
-                            let id = node_of(vid);
-                            node.trace_recorder_mut().attach(id.0, shard);
-                            ids[vid.kind.index()] = id;
-                            let status_cell = (vid.kind == skueue_overlay::VKind::Middle)
-                                .then(|| Arc::clone(&status));
-                            let (inbox, handle) = spawn_node(
-                                node,
-                                id,
-                                transport.clone(),
-                                tick,
-                                status_cell,
-                                spec.hash_seed,
-                            );
-                            inboxes.insert(id.0, inbox);
-                            node_threads.push(handle);
-                        }
-                        procs.push((pid.0, ids, status));
-                        NetFrame::<T>::Ok
-                    };
-                    let _ = writer.write(&reply);
-                }
-                NetFrame::Leave { pid } => {
-                    let reply = match procs.iter().find(|(p, _, _)| *p == pid.0) {
-                        Some((_, ids, _)) => {
-                            for id in ids {
-                                if let Some(inbox) = inboxes.get(&id.0) {
-                                    let _ = inbox.send(NodeEvent::Leave);
-                                }
-                            }
-                            NetFrame::<T>::Ok
-                        }
-                        None => NetFrame::<T>::Err(format!("process {} not hosted here", pid.0)),
-                    };
-                    let _ = writer.write(&reply);
-                }
-                NetFrame::Status => {
-                    let processes = procs
-                        .iter()
-                        .map(|(pid, _, status)| {
-                            (
-                                *pid,
-                                status.integrated.load(Ordering::Relaxed),
-                                status.left.load(Ordering::Relaxed),
-                            )
-                        })
-                        .collect();
-                    let _ = writer.write(&NetFrame::<T>::StatusReply {
-                        daemon: index as u32,
-                        processes,
-                    });
-                }
-                NetFrame::Shutdown => {
-                    for inbox in inboxes.values() {
-                        let _ = inbox.send(NodeEvent::Stop);
-                    }
-                    for handle in node_threads.drain(..) {
-                        let _ = handle.join();
-                    }
-                    let _ = writer.write(&NetFrame::<T>::Ok);
-                    break;
-                }
-                other => {
-                    let _ = writer.write(&NetFrame::<T>::Err(format!(
-                        "unexpected control frame {other:?}"
-                    )));
-                }
-            },
-        }
-    }
+    let mut host = Host::<T>::new(spec, index);
+    host.run(&rx, Duration::from_millis(spec.tick_ms));
 
     // Teardown: unblock the listener, close every connection so reader
     // threads see EOF, and join them all — no leaked threads or sockets.
     shutting_down.store(true, Ordering::SeqCst);
-    drop(tx);
     let _ = TcpStream::connect(local_addr); // unblocks `accept`
     let _ = listener_thread.join();
     for conn in conns.lock().expect("conns mutex").drain(..) {
         let _ = conn.shutdown(std::net::Shutdown::Both);
     }
-    for peer in peers.iter().flatten() {
+    for peer in host.peers.iter().flatten() {
         let _ = peer.shutdown(std::net::Shutdown::Both);
     }
     let handles: Vec<_> = readers.lock().expect("readers mutex").drain(..).collect();
@@ -369,37 +168,247 @@ pub fn run_with_listener<T: Payload + Wire>(
     Ok(())
 }
 
-/// Routes one protocol message: local destination → inbox, remote → peer
-/// frame.  The in-flight counter tracks daemon-local queues only, so a
-/// message leaving for a peer is decremented here and a message entering a
-/// local inbox is decremented by the node thread after delivery.
-#[allow(clippy::too_many_arguments)]
-fn route<T: Payload + Wire>(
+/// Everything the host thread owns.
+struct Host<'a, T: Payload> {
+    spec: &'a ClusterSpec,
+    index: usize,
+    /// Protocol configuration per shard (its distance-halving bit budget).
+    cfgs: Vec<ProtocolConfig>,
+    /// Every hosted virtual node, under its cluster-wide id, in one lane.
+    sim: Simulation<SkueueNode<T>>,
+    /// Hosted processes: `(pid, [left, middle, right])`.
+    procs: Vec<(u64, [NodeId; 3])>,
+    /// One outgoing connection per peer daemon (`None` until dialled).
+    peers: Vec<Option<TcpStream>>,
+    /// Completion-subscribed connections, by connection id.
+    sinks: HashMap<u64, ConnWriter>,
+    /// Middle nodes given an operation since the last round: local combining
+    /// can complete a record at issue, and the node need not be visited.
+    touched: Vec<NodeId>,
+    /// Scratch for the completion sweep.
+    completions: Vec<OpRecord<T>>,
+}
+
+impl<'a, T: Payload + Wire> Host<'a, T> {
+    /// A host holding this daemon's slice of the initial membership.
+    fn new(spec: &'a ClusterSpec, index: usize) -> Self {
+        let (initial, budgets) = spec.initial_membership();
+        let cfg = spec.protocol_config();
+        let mut host = Host {
+            spec,
+            index,
+            cfgs: budgets
+                .into_iter()
+                .map(|bit_budget| ProtocolConfig { bit_budget, ..cfg })
+                .collect(),
+            sim: Simulation::synchronous(spec.hash_seed ^ index as u64),
+            procs: Vec::new(),
+            peers: (0..spec.num_daemons()).map(|_| None).collect(),
+            sinks: HashMap::new(),
+            touched: Vec::new(),
+            completions: Vec::new(),
+        };
+        for p in initial
+            .into_iter()
+            .filter(|p| spec.daemon_of(p.pid) == index)
+        {
+            let cfg = host.cfgs[p.shard as usize];
+            let nodes = p.views.map(|(vid, view, is_anchor)| {
+                (vid, SkueueNode::new(cfg, p.shard, view, is_anchor))
+            });
+            host.add_process(p.pid, p.shard, nodes);
+        }
+        host
+    }
+
+    /// Registers a process's three nodes under their cluster-wide ids.
+    fn add_process(
+        &mut self,
+        pid: ProcessId,
+        shard: ShardId,
+        nodes: [(VirtualId, SkueueNode<T>); 3],
+    ) {
+        let ids = nodes.map(|(vid, mut node)| {
+            let id = node_of(vid);
+            node.trace_recorder_mut().attach(id.0, shard);
+            self.sim.add_node_at(0, id, node);
+            id
+        });
+        self.procs.push((pid.0, ids));
+    }
+
+    /// Applies frames and runs rounds until a [`NetFrame::Shutdown`].
+    fn run(&mut self, rx: &Receiver<Event<T>>, tick: Duration) {
+        loop {
+            let mut next = if self.sim.in_flight() > 0 {
+                rx.try_recv().ok()
+            } else {
+                match rx.recv_timeout(tick) {
+                    Ok(event) => Some(event),
+                    Err(RecvTimeoutError::Timeout) => None,
+                    Err(RecvTimeoutError::Disconnected) => return,
+                }
+            };
+            while let Some((frame, writer)) = next {
+                if !self.apply(frame, &writer) {
+                    return;
+                }
+                next = rx.try_recv().ok();
+            }
+            self.round();
+        }
+    }
+
+    /// Applies one frame and answers control frames on `writer`.  Returns
+    /// `false` on [`NetFrame::Shutdown`].
+    fn apply(&mut self, frame: NetFrame<T>, writer: &ConnWriter) -> bool {
+        let reply = match frame {
+            NetFrame::Proto { from, to, msg } => {
+                if self.sim.inject(from, to, msg).is_err() {
+                    eprintln!(
+                        "skueue-node[{}]: dropping message for unknown local node {to:?}",
+                        self.index
+                    );
+                }
+                return true;
+            }
+            NetFrame::Inject { id, insert, value } => {
+                // Fire-and-forget: the completion stream is the reply.
+                self.inject(id, insert, value);
+                return true;
+            }
+            NetFrame::Subscribe => {
+                self.sinks.insert(writer.id, writer.clone());
+                NetFrame::Ok
+            }
+            NetFrame::Join { pid, bootstrap } => self.join(pid, bootstrap),
+            NetFrame::Leave { pid } => self.leave(pid),
+            NetFrame::Status => NetFrame::StatusReply {
+                daemon: self.index as u32,
+                processes: self
+                    .procs
+                    .iter()
+                    .map(|&(pid, ids)| {
+                        (
+                            pid,
+                            self.all(ids, SkueueNode::is_integrated),
+                            self.all(ids, SkueueNode::has_left),
+                        )
+                    })
+                    .collect(),
+            },
+            NetFrame::Shutdown => {
+                let _ = writer.write(&NetFrame::<T>::Ok);
+                return false;
+            }
+            other => NetFrame::Err(format!("unexpected control frame {other:?}")),
+        };
+        let _ = writer.write(&reply);
+        true
+    }
+
+    /// Whether `f` holds for all three nodes of a process.
+    fn all(&self, ids: [NodeId; 3], f: fn(&SkueueNode<T>) -> bool) -> bool {
+        ids.iter().all(|&id| self.sim.node(id).is_some_and(f))
+    }
+
+    /// Issues a client operation at its process's middle node.
+    fn inject(&mut self, id: RequestId, insert: bool, value: T) {
+        let target = node_of(VirtualId::middle(id.origin));
+        let round = self.sim.round();
+        match self.sim.node_mut(target) {
+            Some(node) if node.is_integrated() => {
+                let kind = if insert {
+                    BatchOp::Enqueue
+                } else {
+                    BatchOp::Dequeue
+                };
+                node.generate_op(id, kind, value, round);
+                // New own work re-arms the node's wave timeout.
+                let _ = self.sim.refresh_timeout_interest(target);
+                self.touched.push(target);
+            }
+            _ => eprintln!(
+                "skueue-node[{}]: dropping inject for process {} (not hosted or not integrated)",
+                self.index, id.origin.0
+            ),
+        }
+    }
+
+    /// Adds a joining process; the join protocol integrates it.
+    fn join(&mut self, pid: ProcessId, bootstrap: NodeId) -> NetFrame<T> {
+        if self.spec.daemon_of(pid) != self.index {
+            return NetFrame::Err(format!("process {} is not placed here", pid.0));
+        }
+        if self.procs.iter().any(|(p, _)| *p == pid.0) {
+            return NetFrame::Err(format!("process {} already hosted", pid.0));
+        }
+        let shard = self.spec.shard_of(pid);
+        let cfg = self.cfgs[shard as usize];
+        let nodes = self.spec.joining_views(pid).map(|(vid, view)| {
+            let mut node = SkueueNode::new_joining(cfg, shard, view);
+            node.set_bootstrap(bootstrap);
+            (vid, node)
+        });
+        self.add_process(pid, shard, nodes);
+        NetFrame::Ok
+    }
+
+    /// Asks a hosted process to leave the overlay.
+    fn leave(&mut self, pid: ProcessId) -> NetFrame<T> {
+        let Some(&(_, ids)) = self.procs.iter().find(|(p, _)| *p == pid.0) else {
+            return NetFrame::Err(format!("process {} not hosted here", pid.0));
+        };
+        for id in ids {
+            if let Some(node) = self.sim.node_mut(id) {
+                node.request_leave();
+            }
+            // The leave wish re-arms the node's timeout.
+            let _ = self.sim.refresh_timeout_interest(id);
+        }
+        NetFrame::Ok
+    }
+
+    /// Runs one round, then writes its egress to the peers and its
+    /// completions to the subscribers.
+    fn round(&mut self) {
+        self.sim.run_round();
+        self.sim.drain_egress(|from, to, msg| {
+            send_to_peer(self.spec, self.index, &mut self.peers, from, to, msg);
+        });
+        // Only nodes visited this round, or given an operation since the
+        // last one, can hold completed records.
+        let visited = self.sim.visited_last_round().iter();
+        self.touched.extend(visited.map(|&id| NodeId(id as u64)));
+        for id in self.touched.drain(..) {
+            if let Some(node) = self.sim.node_mut(id) {
+                if node.has_completed() {
+                    node.drain_completed_into(&mut self.completions);
+                }
+            }
+        }
+        for record in self.completions.drain(..) {
+            let frame = NetFrame::Completion { record };
+            self.sinks.retain(|_, sink| sink.write(&frame).is_ok());
+        }
+    }
+}
+
+/// Writes one protocol message to the daemon hosting its destination.
+fn send_to_peer<T: Wire>(
     spec: &ClusterSpec,
     index: usize,
-    inboxes: &HashMap<u64, Sender<NodeEvent<T>>>,
     peers: &mut [Option<TcpStream>],
-    in_flight: &AtomicUsize,
     from: NodeId,
     to: NodeId,
     msg: SkueueMsg<T>,
 ) {
     let daemon = spec.daemon_of_node(to);
     if daemon == index {
-        match inboxes.get(&to.0) {
-            Some(inbox) => {
-                if inbox.send(NodeEvent::Deliver { from, msg }).is_err() {
-                    in_flight.fetch_sub(1, Ordering::Relaxed);
-                }
-            }
-            None => {
-                in_flight.fetch_sub(1, Ordering::Relaxed);
-                eprintln!("skueue-node[{index}]: dropping message for unknown local node {to:?}");
-            }
-        }
+        // Placed here but never joined: nobody can receive it.
+        eprintln!("skueue-node[{index}]: dropping message for unknown local node {to:?}");
         return;
     }
-    in_flight.fetch_sub(1, Ordering::Relaxed);
     let frame = NetFrame::Proto { from, to, msg };
     // One dial attempt cycle, then one redial after a stale-connection write
     // failure (the peer may have restarted between frames).
@@ -438,144 +447,19 @@ fn dial_peer(spec: &ClusterSpec, index: usize, daemon: usize) -> Option<TcpStrea
     None
 }
 
-/// One connection's reader: decodes frames and forwards them as events.
-/// Exits on EOF, on a decode error, or when the switch has gone away.
-fn reader_loop<T: Payload + Wire>(
-    stream: TcpStream,
-    writer: ConnWriter,
-    tx: Sender<SwitchEvent<T>>,
-    in_flight: Arc<AtomicUsize>,
-) {
+/// One connection's reader: decodes frames and forwards them to the host.
+/// Exits on EOF, on a decode error, or when the host has gone away.
+fn reader_loop<T: Payload + Wire>(stream: TcpStream, writer: ConnWriter, tx: Sender<Event<T>>) {
     let _ = stream.set_nodelay(true);
     let mut reader = BufReader::new(stream);
-    loop {
-        match read_frame::<NetFrame<T>, _>(&mut reader) {
-            Ok(Some(NetFrame::Hello { .. })) => {
-                // Peer preamble; proto frames carry full addressing, so the
-                // daemon index is informational only.
-            }
-            Ok(Some(NetFrame::Proto { from, to, msg })) => {
-                in_flight.fetch_add(1, Ordering::Relaxed);
-                if tx.send(SwitchEvent::Route { from, to, msg }).is_err() {
-                    break;
-                }
-            }
-            Ok(Some(frame)) => {
-                let event = SwitchEvent::Control {
-                    frame,
-                    writer: writer.clone(),
-                };
-                if tx.send(event).is_err() {
-                    break;
-                }
-            }
-            Ok(None) | Err(_) => break,
+    while let Ok(Some(frame)) = read_frame::<NetFrame<T>, _>(&mut reader) {
+        // A peer's preamble: proto frames carry full addressing, so the
+        // daemon index is informational only.
+        if matches!(frame, NetFrame::Hello { .. }) {
+            continue;
+        }
+        if tx.send((frame, writer.clone())).is_err() {
+            break;
         }
     }
-}
-
-/// Spawns one virtual node on its own tick-loop thread.
-///
-/// Each loop iteration plays one synchronous round: deliver every pending
-/// message, then fire the `TIMEOUT` action if the node is active — the same
-/// visit discipline as the simulator's scheduler.  The thread sleeps in
-/// `recv_timeout` while the node wants timeouts and blocks indefinitely when
-/// the node's timeout is provably a no-op (quiescence costs nothing).
-fn spawn_node<T: Payload>(
-    mut node: SkueueNode<T>,
-    id: NodeId,
-    mut transport: TcpTransport<T>,
-    tick: Duration,
-    status: Option<Arc<ProcStatus>>,
-    seed: u64,
-) -> (Sender<NodeEvent<T>>, JoinHandle<()>) {
-    let (inbox_tx, inbox_rx) = channel::<NodeEvent<T>>();
-    let handle = thread::spawn(move || {
-        let counter = transport.counter();
-        let mut rng =
-            SimRng::new(seed ^ (id.0.wrapping_add(1)).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        let mut outbox: Vec<(NodeId, SkueueMsg<T>)> = Vec::new();
-        let mut completions: Vec<OpRecord<T>> = Vec::new();
-        let mut tick_no: u64 = 0;
-        'ticks: loop {
-            let wants_timeout = node.is_active() && node.wants_timeout();
-            let first = if wants_timeout {
-                match inbox_rx.recv_timeout(tick) {
-                    Ok(event) => Some(event),
-                    Err(RecvTimeoutError::Timeout) => None,
-                    Err(RecvTimeoutError::Disconnected) => break,
-                }
-            } else {
-                match inbox_rx.recv() {
-                    Ok(event) => Some(event),
-                    Err(_) => break,
-                }
-            };
-            tick_no += 1;
-            // A tick expiry is itself a visit; otherwise the first event is.
-            let mut visited = first.is_none();
-            let mut next = first;
-            while let Some(event) = next {
-                visited = true;
-                match event {
-                    NodeEvent::Deliver { from, msg } => {
-                        let mut ctx = Context::with_outbox(
-                            id,
-                            tick_no,
-                            rng.next_u64(),
-                            std::mem::take(&mut outbox),
-                        );
-                        node.on_message(from, msg, &mut ctx);
-                        outbox = ctx.into_outbox();
-                        for (to, m) in outbox.drain(..) {
-                            transport.send(id, to, m);
-                        }
-                        counter.fetch_sub(1, Ordering::Relaxed);
-                    }
-                    NodeEvent::Inject {
-                        id: req,
-                        insert,
-                        value,
-                    } => {
-                        if node.is_integrated() {
-                            let kind = if insert {
-                                BatchOp::Enqueue
-                            } else {
-                                BatchOp::Dequeue
-                            };
-                            node.generate_op(req, kind, value, tick_no);
-                        } else {
-                            eprintln!(
-                                "skueue-node: dropping inject for non-integrated node {id:?}"
-                            );
-                        }
-                    }
-                    NodeEvent::Leave => node.request_leave(),
-                    NodeEvent::Stop => break 'ticks,
-                }
-                next = inbox_rx.try_recv().ok();
-            }
-            if visited && node.is_active() {
-                let mut ctx =
-                    Context::with_outbox(id, tick_no, rng.next_u64(), std::mem::take(&mut outbox));
-                node.on_timeout(&mut ctx);
-                outbox = ctx.into_outbox();
-                for (to, m) in outbox.drain(..) {
-                    transport.send(id, to, m);
-                }
-            }
-            if node.has_completed() {
-                node.drain_completed_into(&mut completions);
-                for record in completions.drain(..) {
-                    transport.send_completion(record);
-                }
-            }
-            if let Some(cell) = &status {
-                cell.integrated
-                    .store(node.is_integrated(), Ordering::Relaxed);
-                cell.left.store(node.has_left(), Ordering::Relaxed);
-            }
-        }
-    });
-    (inbox_tx, handle)
 }

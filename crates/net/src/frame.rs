@@ -125,7 +125,7 @@ pub enum NetFrame<T> {
     /// Every [`NetFrame::Completion`] the daemon's nodes produce afterwards
     /// is streamed to all subscribed connections.
     Subscribe,
-    /// Ctl → daemon: stop all node threads and exit.
+    /// Ctl → daemon: stop the host loop, close every connection and exit.
     Shutdown,
     /// Generic success reply to a control frame.
     Ok,

@@ -1,9 +1,10 @@
 //! # skueue-net — real-clock TCP transport and service topology
 //!
-//! Everything else in this workspace runs the Skueue protocol inside the
-//! deterministic simulation (`skueue-sim`).  This crate is the other side of
-//! the [`skueue_sim::Transport`] seam: the same `SkueueNode` state machines,
-//! executing on real threads against real sockets and real time.
+//! Everything else in this workspace runs a whole Skueue cluster inside one
+//! deterministic simulation (`skueue-sim`).  This crate splits a cluster over
+//! daemons: each daemon hosts its processes' `SkueueNode` state machines in
+//! its own simulation, stepped against real time, and carries every message
+//! between daemons as a frame on a real socket.
 //!
 //! The paper's correctness argument holds under full asynchrony — arbitrary
 //! finite message delays, no FIFO assumption — so nothing about the protocol
@@ -19,8 +20,7 @@
 //! | [`codec`] | hand-rolled binary encoding of every protocol type (the workspace's `serde` is a no-op stub) |
 //! | [`frame`] | `u32`-length-prefixed framing and the [`frame::NetFrame`] daemon protocol |
 //! | [`spec`] | the [`spec::ClusterSpec`] every binary agrees on, plus static placement rules |
-//! | [`transport`] | [`transport::TcpTransport`], the real-clock [`skueue_sim::Transport`] implementation |
-//! | [`daemon`] | the `skueue-node` daemon: listener, switch, per-node tick threads |
+//! | [`daemon`] | the `skueue-node` daemon: one [`skueue_sim::Simulation`] hosting its processes' nodes, a listener, one reader per connection |
 //! | [`ctl`] | the control-plane client (join/leave waves, status, shutdown) |
 //! | [`ingress`] | the client-operation ingress: issues ops, collects and verifies the history |
 //! | [`load`] | open-loop Poisson load generation with latency percentiles |
@@ -45,7 +45,6 @@ pub mod frame;
 pub mod ingress;
 pub mod load;
 pub mod spec;
-pub mod transport;
 
 pub use codec::{DecodeError, Wire};
 pub use ctl::{Control, CtlClient, ProcessStatus};
@@ -54,4 +53,3 @@ pub use frame::NetFrame;
 pub use ingress::IngressClient;
 pub use load::{run_load, LoadParams, LoadReport};
 pub use spec::{node_of, ClusterSpec};
-pub use transport::TcpTransport;

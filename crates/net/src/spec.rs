@@ -19,7 +19,7 @@ use skueue_overlay::{Label, LocalView, NeighborInfo, Topology, VKind, VirtualId}
 use skueue_shard::{ShardId, ShardMap, ShardRouter};
 use skueue_sim::ids::{NodeId, ProcessId};
 
-/// Default per-tick timeout of a node thread, in milliseconds.
+/// Default tick of a daemon's host loop, in milliseconds.
 pub const DEFAULT_TICK_MS: u64 = 2;
 
 /// Everything the service binaries must agree on to form one cluster.
@@ -33,9 +33,10 @@ pub struct ClusterSpec {
     pub shards: usize,
     /// Seed of the publicly known label hash function.
     pub hash_seed: u64,
-    /// Tick interval of the node threads, in milliseconds.  One tick plays
-    /// the role of one synchronous round: pending messages are delivered,
-    /// then the `TIMEOUT` action fires.
+    /// Tick of the host loop, in milliseconds.  A daemon runs one
+    /// synchronous round (deliver pending messages, then fire `TIMEOUT`)
+    /// as soon as frames arrive or messages are in flight, and at least
+    /// once per tick otherwise, so nodes that want a timeout get one.
     pub tick_ms: u64,
 }
 

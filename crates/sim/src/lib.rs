@@ -73,7 +73,7 @@ pub use replay::{ReplayScenario, ReplayStep};
 pub use rng::SimRng;
 pub use scheduler::{RunOutcome, Simulation};
 pub use trace::{Trace, TraceEvent};
-pub use transport::{SimTransport, Transport};
+pub use transport::SimTransport;
 
 /// A simulated round (discrete time step of the synchronous model).
 pub type Round = u64;

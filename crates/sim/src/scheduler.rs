@@ -17,6 +17,18 @@
 //! (optionally in a seeded shuffled order), and ties between messages are
 //! broken by a per-lane sequence number.
 //!
+//! # Sparse ids and egress
+//!
+//! A simulation may host any subset of a larger id space:
+//! [`Simulation::add_node_at`] registers a node under a caller-chosen id, and
+//! the ids in between are gaps that [`Simulation::len`],
+//! [`Simulation::iter`] and the per-node accessors skip.  A message to an id
+//! no lane hosts is not an error: it goes to an egress buffer that the driver
+//! empties with [`Simulation::drain_egress`], and replies come back through
+//! [`Simulation::inject`].  The `skueue-node` daemon hosts its share of a
+//! cluster this way; the Skueue cluster hosts every id it addresses and
+//! treats a non-empty egress as a bug.
+//!
 //! # Lanes
 //!
 //! Nodes are partitioned into **lanes** (one by default).  A lane owns its
@@ -77,6 +89,10 @@ use std::time::Instant;
 
 /// Marker in a lane's global→local slot map for "not one of my nodes".
 const NOT_LOCAL: u32 = u32::MAX;
+
+/// Marker in the simulation's id→`(lane, slot)` map for an id no lane hosts
+/// (a gap left by [`Simulation::add_node_at`]).
+const NOT_HOSTED: (u32, u32) = (u32::MAX, u32::MAX);
 
 /// Outcome of [`Simulation::run_until`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -413,7 +429,7 @@ pub struct Simulation<A: Actor> {
     /// lane boxes to worker threads inside [`Self::run_round`]; between
     /// driver calls every slot is `Some`.
     lanes: Vec<Option<Box<Lane<A>>>>,
-    /// Global node id → `(lane, slot)`.
+    /// Global node id → `(lane, slot)`, [`NOT_HOSTED`] for gaps.
     node_loc: Vec<(u32, u32)>,
     round: Round,
     metrics: SimMetrics,
@@ -423,6 +439,9 @@ pub struct Simulation<A: Actor> {
     merged_wake: Vec<usize>,
     /// Scratch for the cross-lane router.
     xroute: Vec<(NodeId, NodeId, A::Msg)>,
+    /// Messages addressed to ids this simulation does not host, waiting for
+    /// the driver's [`Self::drain_egress`].
+    egress: Vec<(NodeId, NodeId, A::Msg)>,
     /// Worker pool of the parallel backend (`None` = single-threaded).
     pool: Option<WorkerPool<Lane<A>>>,
 }
@@ -447,6 +466,7 @@ impl<A: Actor> Simulation<A> {
             trace,
             merged_wake: Vec::new(),
             xroute: Vec::new(),
+            egress: Vec::new(),
             pool: None,
         })
     }
@@ -494,13 +514,21 @@ impl<A: Actor> Simulation<A> {
         self.lanes.len()
     }
 
-    /// The lane a node belongs to.
-    pub fn lane_of(&self, id: NodeId) -> Option<usize> {
-        self.node_loc.get(id.index()).map(|&(l, _)| l as usize)
+    /// `(lane, slot)` of a hosted node.
+    #[inline]
+    fn loc(&self, id: NodeId) -> Option<(usize, usize)> {
+        let &(lane, slot) = self.node_loc.get(id.index())?;
+        ((lane, slot) != NOT_HOSTED).then_some((lane as usize, slot as usize))
     }
 
-    /// Adds a node to lane 0 and returns its id. Ids are dense and assigned
-    /// in insertion order, independent of the lane.
+    /// The lane a node belongs to.
+    pub fn lane_of(&self, id: NodeId) -> Option<usize> {
+        self.loc(id).map(|(lane, _)| lane)
+    }
+
+    /// Adds a node to lane 0 and returns its id. Ids are assigned in
+    /// insertion order (one past the highest id so far), independent of the
+    /// lane.
     pub fn add_node(&mut self, actor: A) -> NodeId {
         self.add_node_in_lane(0, actor)
     }
@@ -520,39 +548,57 @@ impl<A: Actor> Simulation<A> {
         self.lane_mut(lane).reserve_nodes(nodes);
     }
 
-    /// Adds a node to the given lane and returns its (global) id.
+    /// Adds a node to the given lane under the next dense id (one past the
+    /// highest id registered so far) and returns that id.
     ///
     /// # Panics
     ///
     /// Panics when `lane` is out of range (driver bug — the lane layout is
     /// fixed at configuration time).
     pub fn add_node_in_lane(&mut self, lane: usize, actor: A) -> NodeId {
+        let id = NodeId(self.node_loc.len() as u64);
+        self.add_node_at(lane, id, actor);
+        id
+    }
+
+    /// Adds a node to the given lane under a caller-chosen id, which need
+    /// not be dense (see "Sparse ids and egress" in the module docs).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `lane` is out of range or `id` is already taken (driver
+    /// bugs).
+    pub fn add_node_at(&mut self, lane: usize, id: NodeId, actor: A) {
         assert!(
             lane < self.lanes.len(),
             "lane {lane} out of range ({} lanes)",
             self.lanes.len()
         );
-        let global = self.node_loc.len() as u64;
-        let id = NodeId(global);
-        let slot = self.lane_mut(lane).add_node(global, actor);
-        self.node_loc.push((lane as u32, slot as u32));
+        assert!(self.loc(id).is_none(), "node id {id:?} is already taken");
+        if self.node_loc.len() <= id.index() {
+            self.node_loc.resize(id.index() + 1, NOT_HOSTED);
+        }
+        let slot = self.lane_mut(lane).add_node(id.0, actor);
+        self.node_loc[id.index()] = (lane as u32, slot as u32);
         if let Some(trace) = &mut self.trace {
             trace.push(TraceEvent::NodeAdded {
                 node: id,
                 round: self.round,
             });
         }
-        id
     }
 
-    /// Number of registered nodes (active or not).
+    /// Number of hosted nodes (active or not).
     pub fn len(&self) -> usize {
-        self.node_loc.len()
+        self.lanes
+            .iter()
+            .map(|l| l.as_ref().expect("lane present").nodes.len())
+            .sum()
     }
 
-    /// True if no nodes are registered.
+    /// True if no nodes are hosted.
     pub fn is_empty(&self) -> bool {
-        self.node_loc.is_empty()
+        self.len() == 0
     }
 
     /// Current round (0 before the first call to [`Self::run_round`]).
@@ -598,26 +644,21 @@ impl<A: Actor> Simulation<A> {
 
     /// Immutable access to an actor.
     pub fn node(&self, id: NodeId) -> Option<&A> {
-        let &(lane, slot) = self.node_loc.get(id.index())?;
-        Some(&self.lane(lane as usize).nodes[slot as usize].actor)
+        let (lane, slot) = self.loc(id)?;
+        Some(&self.lane(lane).nodes[slot].actor)
     }
 
     /// Mutable access to an actor. The driver (e.g. the Skueue cluster API)
     /// uses this to perform *local* operations such as generating a queue
     /// request at a node — those are not messages in the paper's model.
     pub fn node_mut(&mut self, id: NodeId) -> Option<&mut A> {
-        let &(lane, slot) = self.node_loc.get(id.index())?;
-        Some(&mut self.lane_mut(lane as usize).nodes[slot as usize].actor)
+        let (lane, slot) = self.loc(id)?;
+        Some(&mut self.lane_mut(lane).nodes[slot].actor)
     }
 
-    /// Iterates over `(id, actor)` pairs in global id order.
+    /// Iterates over the hosted `(id, actor)` pairs in global id order.
     pub fn iter(&self) -> impl Iterator<Item = (NodeId, &A)> {
-        self.node_loc.iter().enumerate().map(move |(i, &(l, s))| {
-            (
-                NodeId(i as u64),
-                &self.lane(l as usize).nodes[s as usize].actor,
-            )
-        })
+        (0..self.node_loc.len() as u64).filter_map(|i| Some((NodeId(i), self.node(NodeId(i))?)))
     }
 
     /// Iterates mutably over `(id, actor)` pairs.  Multi-lane simulations
@@ -637,13 +678,10 @@ impl<A: Actor> Simulation<A> {
     /// keeps accepting and delivering messages (reliable channels).
     pub fn deactivate(&mut self, id: NodeId) -> Result<(), SimError> {
         let round = self.round;
-        let &(lane, slot) = self
-            .node_loc
-            .get(id.index())
-            .ok_or(SimError::UnknownNode(id))?;
-        let lane = self.lane_mut(lane as usize);
-        lane.nodes[slot as usize].active = false;
-        lane.refresh_flag(slot as usize);
+        let (lane, slot) = self.loc(id).ok_or(SimError::UnknownNode(id))?;
+        let lane = self.lane_mut(lane);
+        lane.nodes[slot].active = false;
+        lane.refresh_flag(slot);
         if let Some(trace) = &mut self.trace {
             trace.push(TraceEvent::NodeDeactivated { node: id, round });
         }
@@ -653,13 +691,10 @@ impl<A: Actor> Simulation<A> {
     /// Re-activates a node (used when a pre-registered process completes its
     /// `JOIN()`).
     pub fn activate(&mut self, id: NodeId) -> Result<(), SimError> {
-        let &(lane, slot) = self
-            .node_loc
-            .get(id.index())
-            .ok_or(SimError::UnknownNode(id))?;
-        let lane = self.lane_mut(lane as usize);
-        lane.nodes[slot as usize].active = true;
-        lane.refresh_flag(slot as usize);
+        let (lane, slot) = self.loc(id).ok_or(SimError::UnknownNode(id))?;
+        let lane = self.lane_mut(lane);
+        lane.nodes[slot].active = true;
+        lane.refresh_flag(slot);
         Ok(())
     }
 
@@ -667,31 +702,23 @@ impl<A: Actor> Simulation<A> {
     /// have changed [`Actor::wants_timeout`] (e.g. injecting a local request
     /// or asking a node to leave through [`Self::node_mut`]).
     pub fn refresh_timeout_interest(&mut self, id: NodeId) -> Result<(), SimError> {
-        let &(lane, slot) = self
-            .node_loc
-            .get(id.index())
-            .ok_or(SimError::UnknownNode(id))?;
-        self.lane_mut(lane as usize).refresh_flag(slot as usize);
+        let (lane, slot) = self.loc(id).ok_or(SimError::UnknownNode(id))?;
+        self.lane_mut(lane).refresh_flag(slot);
         Ok(())
     }
 
     /// Whether a node is currently active.
     pub fn is_active(&self, id: NodeId) -> bool {
-        match self.node_loc.get(id.index()) {
-            Some(&(lane, slot)) => self.lane(lane as usize).nodes[slot as usize].active,
-            None => false,
-        }
+        self.loc(id)
+            .is_some_and(|(lane, slot)| self.lane(lane).nodes[slot].active)
     }
 
     /// Injects a message from the outside world (delivered like any other
     /// message, in the next round at the earliest).
     pub fn inject(&mut self, from: NodeId, to: NodeId, msg: A::Msg) -> Result<(), SimError> {
-        let &(lane_idx, _) = self
-            .node_loc
-            .get(to.index())
-            .ok_or(SimError::UnknownNode(to))?;
+        let (lane_idx, _) = self.loc(to).ok_or(SimError::UnknownNode(to))?;
         let round = self.round;
-        let lane = self.lane_mut(lane_idx as usize);
+        let lane = self.lane_mut(lane_idx);
         debug_assert_eq!(
             lane.transport.round(),
             round,
@@ -703,7 +730,7 @@ impl<A: Actor> Simulation<A> {
         // eager update never double-counts).
         self.metrics.messages_sent += 1;
         self.metrics.delays.record(deliver_at - round);
-        self.flush_lane_trace(lane_idx as usize);
+        self.flush_lane_trace(lane_idx);
         Ok(())
     }
 
@@ -749,6 +776,16 @@ impl<A: Actor> Simulation<A> {
         &self.merged_wake
     }
 
+    /// Hands every message sent to an id this simulation does not host to
+    /// `f`, in send order (lanes in lane order), and empties the buffer.
+    /// Drivers that host part of a larger id space forward these to whoever
+    /// hosts the destination and [`Self::inject`] what arrives in return.
+    pub fn drain_egress(&mut self, mut f: impl FnMut(NodeId, NodeId, A::Msg)) {
+        for (from, to, msg) in self.egress.drain(..) {
+            f(from, to, msg);
+        }
+    }
+
     /// Executes one round and returns the number of messages delivered in it.
     pub fn run_round(&mut self) -> usize {
         self.round += 1;
@@ -775,10 +812,12 @@ impl<A: Actor> Simulation<A> {
     }
 
     /// Routes messages that crossed a lane boundary, in fixed lane order,
-    /// drawing each delay from the destination lane's stream.  Returns the
-    /// number of routed messages.  (The Skueue cluster never takes this
-    /// path — shard traffic is intra-lane by construction — but generic
-    /// actors may send anywhere.)
+    /// drawing each delay from the destination lane's stream; a message to
+    /// an id no lane hosts goes to the egress buffer instead.  Returns the
+    /// number of routed messages, egress included.  (The Skueue cluster
+    /// never takes this path — shard traffic is intra-lane by construction —
+    /// but generic actors may send anywhere, and a daemon's nodes send to
+    /// other daemons' nodes.)
     fn route_cross_lane(&mut self) -> u64 {
         let mut routed = 0u64;
         for src in 0..self.lanes.len() {
@@ -791,8 +830,12 @@ impl<A: Actor> Simulation<A> {
             self.lane_mut(src).xlane = pending;
             let mut batch = std::mem::take(&mut self.xroute);
             for (from, to, msg) in batch.drain(..) {
-                let (lane, _slot) = self.node_loc[to.index()];
-                self.lane_mut(lane as usize).post_local(from, to, msg);
+                match self.loc(to) {
+                    Some((lane, _slot)) => {
+                        self.lane_mut(lane).post_local(from, to, msg);
+                    }
+                    None => self.egress.push((from, to, msg)),
+                }
                 routed += 1;
             }
             self.xroute = batch;
@@ -1054,6 +1097,59 @@ mod tests {
         ));
         assert!(sim.deactivate(NodeId(99)).is_err());
         assert!(sim.activate(NodeId(99)).is_err());
+    }
+
+    #[test]
+    fn two_simulations_carry_a_ring_through_egress() {
+        // One simulation hosts the even ids of a ring, the other the odd
+        // ids; every hop leaves one through its egress and enters the other
+        // through `inject`, as between two daemons.
+        let n = 6u64;
+        let ring = || Ring {
+            n,
+            received: Vec::new(),
+            timeouts: 0,
+        };
+        let mut halves: [Simulation<Ring>; 2] =
+            [Simulation::synchronous(1), Simulation::synchronous(2)];
+        for id in 0..n {
+            halves[(id % 2) as usize].add_node_at(0, NodeId(id), ring());
+        }
+        for (half, want) in halves.iter().zip([[0, 2, 4], [1, 3, 5]]) {
+            assert_eq!(half.len(), 3, "len counts hosted nodes only");
+            let ids: Vec<u64> = half.iter().map(|(id, _)| id.0).collect();
+            assert_eq!(ids, want, "iter skips the gaps");
+        }
+        assert_eq!(
+            halves[0].inject(NodeId(0), NodeId(3), Token { remaining: 0 }),
+            Err(SimError::UnknownNode(NodeId(3)))
+        );
+        let taken = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            halves[1].add_node_at(0, NodeId(3), ring());
+        }));
+        assert!(taken.is_err(), "add_node_at on a taken id panics");
+
+        halves[0]
+            .inject(NodeId(0), NodeId(0), Token { remaining: n - 1 })
+            .unwrap();
+        let mut rounds = 0;
+        while halves.iter().any(|half| half.in_flight() > 0) {
+            let mut crossing = Vec::new();
+            for half in &mut halves {
+                half.run_round();
+                half.drain_egress(|from, to, msg| crossing.push((from, to, msg)));
+            }
+            for (from, to, msg) in crossing {
+                halves[to.index() % 2].inject(from, to, msg).unwrap();
+            }
+            rounds += 1;
+        }
+        assert_eq!(rounds, n, "one hop per round, as in one simulation");
+        for half in &halves {
+            for (id, ring) in half.iter() {
+                assert_eq!(ring.received, vec![n - 1 - id.0], "node {id:?}");
+            }
+        }
     }
 
     #[test]

@@ -1,28 +1,17 @@
-//! The transport seam: who moves a posted message toward its receiver.
+//! The simulation's message fabric: who moves a posted message toward its
+//! receiver.
 //!
-//! Every Skueue message crosses exactly one boundary: an actor hands
-//! `(from, to, payload)` to *something* that eventually delivers the payload
-//! to `to`'s [`crate::Actor::on_message`].  The [`Transport`] trait names
-//! that boundary.  Two implementations exist:
-//!
-//! * [`SimTransport`] (this module) — the deterministic delivery wheel the
-//!   round-driven [`crate::Simulation`] has always used.  Delays are drawn
-//!   from a seeded RNG according to a [`DeliveryModel`]; for a fixed seed the
-//!   schedule is bit-for-bit reproducible, which the golden-history tests
-//!   and the perf gate rely on.  [`crate::scheduler::Simulation`]'s lanes
-//!   embed one `SimTransport` each and call its inherent methods directly
-//!   (static dispatch — the seam adds no indirection to the hot loop).
-//! * `TcpTransport` (crate `skueue-net`) — real-clock delivery over
-//!   length-prefixed frames on localhost TCP sockets, used by the
-//!   `skueue-node` daemon.  No delay model, no determinism: correctness of a
-//!   run is established *a posteriori* by the sequential-consistency
-//!   checker, which the paper's asynchronous-model proof permits (arbitrary
-//!   finite delays, non-FIFO — TCP's per-channel FIFO is strictly stronger).
-//!
-//! The determinism boundary therefore runs exactly through this trait:
-//! everything *behind* `SimTransport` (wheel, RNG, sequence numbers) is
-//! reproducible state; everything behind a real transport is wall-clock.
-//! Protocol code above the seam is identical in both worlds.
+//! Each lane of a [`crate::Simulation`] embeds one [`SimTransport`] and calls
+//! its inherent methods directly.  Delays are drawn from a seeded RNG
+//! according to a [`DeliveryModel`]; for a fixed seed the schedule is
+//! bit-for-bit reproducible, which the golden-history tests and the perf
+//! gate rely on.  A message to an id the simulation does not host never
+//! reaches a transport: it leaves through
+//! [`crate::Simulation::drain_egress`], which is how a `skueue-node` daemon
+//! (crate `skueue-net`) hands messages to its TCP peers.  The determinism
+//! boundary therefore runs through the driver's `inject`/`drain_egress`:
+//! everything inside a simulation is reproducible, and the order in which
+//! frames cross sockets is wall-clock.
 
 use crate::delivery::DeliveryModel;
 use crate::ids::NodeId;
@@ -37,34 +26,11 @@ use std::collections::BTreeMap;
 /// cap only guards against unbounded growth under pathological models.
 const SPARE_BUCKET_LIMIT: usize = 64;
 
-/// A message fabric at the `SkueueMsg<T>` boundary: accepts the messages an
-/// actor produced and moves them toward delivery.
-///
-/// Implementors decide *when* and *in which order* a message reaches its
-/// destination; the protocol tolerates any finite schedule (the paper's
-/// asynchronous model), so a conforming transport only promises that every
-/// accepted message is delivered exactly once, eventually.
-pub trait Transport<M> {
-    /// Accepts one message from `from` addressed to `to`.
-    fn send(&mut self, from: NodeId, to: NodeId, msg: M);
-
-    /// Number of messages accepted but not yet handed to a receiver, as far
-    /// as this transport can observe (a real network transport reports its
-    /// local queues only).
-    fn in_flight(&self) -> usize;
-
-    /// Human-readable backend name (for logs and reports).
-    fn name(&self) -> &'static str;
-}
-
 /// The deterministic simulation transport: a round-bucketed delivery wheel
 /// plus the seeded delay RNG and the per-lane message sequence.
 ///
-/// This is the machinery that used to live inline in the scheduler's lanes;
-/// it was extracted so the delivery schedule has a name and a second,
-/// real-clock implementation can exist beside it.  The lane still calls the
-/// inherent methods ([`Self::dispatch`], [`Self::take_due`]) directly, so
-/// the extraction is invisible to both the optimizer and the goldens.
+/// Each lane owns one and calls [`Self::dispatch`] and [`Self::take_due`]
+/// directly.
 #[derive(Debug)]
 pub struct SimTransport<M> {
     delivery: DeliveryModel,
@@ -202,20 +168,6 @@ impl<M> SimTransport<M> {
     }
 }
 
-impl<M> Transport<M> for SimTransport<M> {
-    fn send(&mut self, from: NodeId, to: NodeId, msg: M) {
-        self.dispatch(from, to, msg);
-    }
-
-    fn in_flight(&self) -> usize {
-        self.in_flight
-    }
-
-    fn name(&self) -> &'static str {
-        "sim"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -260,14 +212,5 @@ mod tests {
         sorted.sort();
         assert_eq!(seen, sorted, "(deliver_at, seq) order");
         assert_eq!(t.in_flight(), 0);
-    }
-
-    #[test]
-    fn trait_object_send_works() {
-        let mut t = sync_transport();
-        let dynamic: &mut dyn Transport<u32> = &mut t;
-        dynamic.send(NodeId(0), NodeId(1), 1);
-        assert_eq!(dynamic.in_flight(), 1);
-        assert_eq!(dynamic.name(), "sim");
     }
 }

@@ -45,6 +45,19 @@ echo "== fig2 workload through the ingress (verifier on)"
 
 echo "== join wave of 2, then leave one joiner"
 "$BIN/skueue-ctl" "${COMMON[@]}" --cmd join --count 2
+
+# A daemon runs its host thread, its listener and one reader per open
+# connection, whatever number of processes it hosts: at most 2 peer readers
+# and 2 client readers here.
+echo "== threads per daemon (at most 6)"
+for pid in "${PIDS[@]}"; do
+    threads=$(awk '/^Threads:/ {print $2}' "/proc/$pid/status")
+    echo "daemon $pid: $threads threads"
+    if [ "$threads" -gt 6 ]; then
+        echo "daemon $pid runs $threads threads, more than 6" >&2
+        exit 1
+    fi
+done
 "$BIN/skueue-ctl" "${COMMON[@]}" --cmd leave --pid 5
 
 echo "== shutdown"

@@ -1,7 +1,7 @@
 //! `skueue-node` — one node daemon of a real-transport Skueue cluster.
 //!
 //! Hosts the processes placed on it by the static modular placement rule
-//! (`pid mod num_daemons == index`), each virtual node on its own tick-loop
+//! (`pid mod num_daemons == index`) in one simulation stepped by the main
 //! thread, and routes protocol messages over length-prefixed TCP frames.
 //! Runs until a `skueue-ctl … --cmd shutdown` arrives.
 //!

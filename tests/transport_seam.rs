@@ -1,20 +1,16 @@
 //! Regression for the transport seam extraction.
 //!
-//! PR 10 moved the lanes' delivery machinery (delay RNG, sequence counter,
-//! delivery wheel) out of the scheduler into [`skueue_sim::SimTransport`], the
-//! simulation-side implementation of the new [`skueue_sim::Transport`] trait,
-//! so a real-clock TCP implementation can exist beside it.  The extraction
-//! must be invisible: every golden history captured *before* the seam existed
-//! has to come out bit-identical *through* it, on both execution backends.
+//! The lanes' delivery machinery (delay RNG, sequence counter, delivery
+//! wheel) was moved out of the scheduler into [`skueue_sim::SimTransport`].
+//! The extraction must be invisible: every golden history captured *before*
+//! the move has to come out bit-identical *through* it, on both execution
+//! backends.
 //!
 //! (The network side of the seam is covered by `tests/net_transport.rs`,
 //! which verifies real-transport histories a posteriori with the sharded
 //! checker — byte-identity is a simulation-only property.)
 
 use skueue::prelude::*;
-use skueue::sim::{SimRng as _SimRngAlias, SimTransport, Transport};
-use skueue_sim::delivery::DeliveryModel;
-use skueue_sim::ids::NodeId;
 
 /// FNV-1a over every field of every record (same fingerprint as
 /// `tests/generic_payloads.rs` — the format is pinned there).
@@ -132,30 +128,4 @@ fn parallel_backend_histories_survive_the_seam_too() {
             "parallel-backend history drifted across the seam (T={threads})"
         );
     }
-}
-
-// ---------------------------------------------------------------------------
-// The extracted SimTransport honours the Transport contract directly.
-// ---------------------------------------------------------------------------
-
-#[test]
-fn sim_transport_delivers_through_the_trait_object() {
-    // Drive the transport through `dyn Transport` — the same surface the
-    // TCP implementation satisfies — and check delivery accounting.
-    let mut t = SimTransport::<u64>::new(DeliveryModel::Synchronous, _SimRngAlias::new(9));
-    {
-        let dynt: &mut dyn Transport<u64> = &mut t;
-        assert_eq!(dynt.name(), "sim");
-        dynt.send(NodeId(0), NodeId(1), 11);
-        dynt.send(NodeId(1), NodeId(0), 22);
-        assert_eq!(dynt.in_flight(), 2);
-    }
-    let mut seen = Vec::new();
-    let delivered = t.take_due(1, |env| seen.push((env.from, env.to, env.payload)));
-    assert_eq!(delivered, 2);
-    assert_eq!(t.in_flight(), 0);
-    assert_eq!(
-        seen,
-        vec![(NodeId(0), NodeId(1), 11), (NodeId(1), NodeId(0), 22)]
-    );
 }
