@@ -1322,7 +1322,7 @@ mod tests {
     use super::*;
     use crate::builder::BuildError;
     use crate::ticket::OpOutcome;
-    use skueue_verify::{check_queue, check_stack, OpKind};
+    use skueue_verify::{check_queue, check_queue_sharded, check_stack, OpKind};
 
     fn queue_cluster(n: usize, seed: u64) -> SkueueCluster {
         SkueueCluster::builder()
@@ -1868,5 +1868,55 @@ mod tests {
         assert_eq!(outcomes[0], outcomes[2]);
         assert!(!outcomes[3].is_empty());
         check_queue(cluster.history()).assert_consistent();
+    }
+
+    #[test]
+    fn sibling_messages_are_handled_in_their_send_round() {
+        let mut cluster = SkueueCluster::builder()
+            .processes(8)
+            .shards(2)
+            .seed(11)
+            .record_trace()
+            .build()
+            .unwrap();
+        let mut rng = skueue_sim::SimRng::new(5);
+        for step in 0..60u64 {
+            let mut client = cluster.client(ProcessId(rng.gen_range(8)));
+            if rng.gen_bool(0.6) {
+                client.enqueue(step).unwrap();
+            } else {
+                client.dequeue().unwrap();
+            }
+            if step % 2 == 0 {
+                cluster.run_round();
+            }
+        }
+        cluster.run_until_all_complete(5_000).unwrap();
+        while !cluster.sim.is_quiescent() {
+            cluster.run_round();
+        }
+        let trace = cluster.sim.trace().unwrap();
+        assert_eq!(trace.dropped(), 0);
+        let process = |id: NodeId| cluster.sim.node(id).unwrap().process();
+        let (mut same_round, mut next_round) = (0, 0);
+        for event in trace.events() {
+            if let skueue_sim::TraceEvent::Sent {
+                from,
+                to,
+                round,
+                deliver_at,
+            } = *event
+            {
+                if from != to && process(from) == process(to) {
+                    assert_eq!(deliver_at, round, "sibling message {from:?} -> {to:?}");
+                    same_round += 1;
+                } else {
+                    assert_eq!(deliver_at, round + 1, "message {from:?} -> {to:?}");
+                    next_round += 1;
+                }
+            }
+        }
+        assert!(same_round > 0 && next_round > 0);
+        check_queue_sharded(cluster.history(), &cluster.shard_map()).assert_consistent();
     }
 }

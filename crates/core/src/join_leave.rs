@@ -89,6 +89,7 @@ impl<T: Payload> SkueueNode<T> {
         self.maybe_complete_deferred_absorb(ctx);
         if self.wants_to_leave
             && !self.leave_requested
+            && self.leave_requested_round < ctx.round()
             && !self.leave_granted
             && self.own_log.is_empty()
             && self.outstanding_gets.is_empty()
@@ -103,6 +104,7 @@ impl<T: Payload> SkueueNode<T> {
                 },
             );
             self.leave_requested = true;
+            self.leave_requested_round = ctx.round();
         }
     }
 

@@ -53,6 +53,7 @@ use skueue_shard::{ShardId, ShardMap};
 use skueue_sim::actor::{Actor, Context};
 use skueue_sim::ids::{NodeId, ProcessId, RequestId};
 use skueue_sim::metrics::Histogram;
+use skueue_sim::Round;
 use skueue_trace::{TraceEvent, TraceId, TraceLog, TraceRecorder};
 use skueue_verify::{OpKind, OpRecord, OpResult, OrderKey};
 use std::collections::{HashMap, VecDeque};
@@ -405,6 +406,10 @@ pub struct SkueueNode<T: Payload = u64> {
     pub(crate) wants_to_leave: bool,
     pub(crate) leave_granted: bool,
     pub(crate) leave_requested: bool,
+    /// Round of the latest `LeaveRequest`.  A deferred request is retried in
+    /// a later round, not in the one that sent it: when the predecessor is
+    /// a sibling its `LeaveDeferred` comes back in the same round.
+    pub(crate) leave_requested_round: Round,
     pub(crate) pending_join_count: u64,
     pub(crate) pending_leave_count: u64,
     pub(crate) update: Option<UpdatePhase>,
@@ -483,6 +488,7 @@ impl<T: Payload> SkueueNode<T> {
             wants_to_leave: false,
             leave_granted: false,
             leave_requested: false,
+            leave_requested_round: 0,
             pending_join_count: 0,
             pending_leave_count: 0,
             update: None,
@@ -1695,9 +1701,10 @@ impl<T: Payload> Actor for SkueueNode<T> {
                 // child→parent channel under reordering delivery) and queue
                 // the sub-batch.  Combining happens in this visit's timeout
                 // — after *all* of the round's messages — so sub-batches
-                // arriving in the same round still share one wave, and
-                // latency stays at one round per tree level, matching the
-                // paper's accounting.
+                // arriving in the same round still share one wave.  A tree
+                // level costs one round when it crosses a link and none
+                // when the child is a sibling (same-round delivery, see
+                // `co_located`).
                 if !self.cfg.fifo_channels {
                     ctx.send(child, SkueueMsg::AggregateAck);
                 }
@@ -1775,5 +1782,12 @@ impl<T: Payload> Actor for SkueueNode<T> {
             Role::Joining { .. } => !self.join_sent,
             Role::Draining { .. } => false,
         }
+    }
+
+    /// The node's two siblings run in its own process, so a message to
+    /// them crosses a virtual edge, not a link: in the synchronous model it
+    /// is handled in the round it was sent.
+    fn co_located(&self, to: NodeId) -> bool {
+        to != self.view.me.node && self.view.siblings.iter().any(|s| s.node == to)
     }
 }

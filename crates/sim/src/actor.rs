@@ -38,6 +38,19 @@ pub trait Actor {
     fn wants_timeout(&self) -> bool {
         true
     }
+
+    /// Whether `to` runs in the same process as this node, so that a
+    /// message to it crosses a virtual edge rather than a network link.
+    ///
+    /// Defaults to `false`.  Under [`crate::DeliveryModel::Synchronous`] a
+    /// message to a co-located node is handled in the round it was sent
+    /// (the destination is visited again if the round already visited it);
+    /// the asynchronous models ignore the answer.  A co-located node must be
+    /// hosted in the sender's lane, or the send panics.  A node is not
+    /// co-located with itself: self-sends stay next-round messages.
+    fn co_located(&self, _to: NodeId) -> bool {
+        false
+    }
 }
 
 /// Handle through which an actor interacts with the outside world during a
@@ -111,7 +124,8 @@ impl<M> Context<M> {
     }
 
     /// Sends `msg` to `to`. Delivery round is decided by the simulation's
-    /// [`crate::DeliveryModel`].
+    /// [`crate::DeliveryModel`] (and, in the synchronous model, by
+    /// [`Actor::co_located`]).
     #[inline]
     pub fn send(&mut self, to: NodeId, msg: M) {
         if to == self.self_id {

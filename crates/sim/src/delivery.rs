@@ -14,7 +14,9 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
 pub enum DeliveryModel {
     /// The synchronous model of the paper's evaluation: every message sent in
-    /// round `i` is delivered in round `i + 1`.
+    /// round `i` is delivered in round `i + 1` — except a message to a node
+    /// the sender declares co-located ([`crate::Actor::co_located`]), which
+    /// the scheduler hands over in round `i` without consulting this model.
     #[default]
     Synchronous,
     /// Asynchronous delivery: every message independently receives a uniform

@@ -3,7 +3,10 @@
 //! The Skueue paper (Feldmann, Scheideler, Setzer — IPDPS 2018) evaluates its
 //! protocol in the *synchronous message passing model*: time proceeds in
 //! rounds, every message sent in round `i` is processed in round `i + 1`, and
-//! every node executes its `TIMEOUT` action once per round.  Correctness,
+//! every node executes its `TIMEOUT` action once per round.  The one
+//! exception is a message between two nodes of one process (an actor says
+//! which nodes those are with [`Actor::co_located`]): it crosses a virtual
+//! edge, not a link, and is processed in round `i` itself.  Correctness,
 //! however, is claimed for the *asynchronous* model with arbitrary finite
 //! message delays and non-FIFO delivery.
 //!

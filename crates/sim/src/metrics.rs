@@ -15,7 +15,7 @@ use std::fmt;
 /// Samples are kept exactly (sum, min, max, count) plus a bucketed
 /// distribution with power-of-two bucket boundaries, which is accurate enough
 /// for round counts and batch lengths while staying O(64) in memory.
-#[derive(Debug, Clone, Default, Serialize, Deserialize, PartialEq)]
+#[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
 pub struct Histogram {
     count: u64,
     sum: u128,
@@ -24,6 +24,20 @@ pub struct Histogram {
     /// `buckets[i]` counts samples with `floor(log2(sample)) == i - 1`;
     /// `buckets[0]` counts zeros.
     buckets: Vec<u64>,
+}
+
+impl Default for Histogram {
+    /// An empty histogram that allocates no buckets until its first sample
+    /// (a derived default would start `min` at 0).
+    fn default() -> Self {
+        Histogram {
+            count: 0,
+            sum: 0,
+            min: u64::MAX,
+            max: 0,
+            buckets: Vec::new(),
+        }
+    }
 }
 
 impl Histogram {

@@ -10,7 +10,14 @@
 //!    actor declares the timeout a no-op via [`Actor::wants_timeout`], in
 //!    which case the visit is skipped entirely,
 //! 3. all messages produced in the round are scheduled for later rounds
-//!    according to the configured [`crate::DeliveryModel`].
+//!    according to the configured [`crate::DeliveryModel`] — except, in the
+//!    synchronous model, a message to a node the sender declares co-located
+//!    ([`Actor::co_located`]): it goes straight onto the destination's
+//!    pending queue, and the destination takes it in its visit of this round
+//!    (if the scan has not reached it yet) or is visited again after the
+//!    scan.  Those extra visits are ordinary visits, made in send order
+//!    until no same-round message is left; a round that makes more than 64
+//!    of them per lane node panics as a delivery loop.
 //!
 //! Determinism: for a fixed seed, configuration and sequence of driver calls,
 //! a run is bit-for-bit reproducible.  Nodes are processed in index order
@@ -67,8 +74,9 @@
 //! * A per-round **wake list** visits only nodes that have deliverable
 //!   messages or are active (and therefore receive a `TIMEOUT`); deactivated
 //!   nodes without deliveries cost nothing.
-//! * Per-node pending queues, the wake list, and the actor outbox are
-//!   **scratch buffers** owned by the lane and reused across rounds.
+//! * Per-node pending queues, the wake list, the same-round queue and the
+//!   actor outbox are **scratch buffers** owned by the lane and reused
+//!   across rounds.
 //! * No per-round sorting: a bucket is filled in send order, so envelopes
 //!   arrive at a node already in `(deliver_at, seq)` order.  (The merged
 //!   wake list does sort ids in multi-lane runs — over the handful of woken
@@ -85,10 +93,15 @@ use crate::rng::{splitmix64, SimRng};
 use crate::trace::{Trace, TraceEvent};
 use crate::transport::SimTransport;
 use crate::Round;
+use std::collections::VecDeque;
 use std::time::Instant;
 
 /// Marker in a lane's global→local slot map for "not one of my nodes".
 const NOT_LOCAL: u32 = u32::MAX;
+
+/// Same-round visits one round may make per lane node before the lane
+/// declares a delivery loop and panics (see [`Actor::co_located`]).
+const SAME_ROUND_VISITS_PER_NODE: u64 = 64;
 
 /// Marker in the simulation's id→`(lane, slot)` map for an id no lane hosts
 /// (a gap left by [`Simulation::add_node_at`]).
@@ -136,6 +149,9 @@ struct Lane<A: Actor> {
     // simulation).
     shuffle: bool,
     record_trace: bool,
+    /// Whether messages to co-located nodes are handled in their send round
+    /// (the synchronous model).
+    same_round: bool,
     /// The lane's message fabric: delivery wheel, delay RNG and message
     /// sequence (see [`crate::transport`]).  The lane calls its inherent
     /// methods directly — static dispatch, no hot-loop indirection.  Lane
@@ -155,8 +171,16 @@ struct Lane<A: Actor> {
     /// Bit-packed per-round delivery marks: bit `i` is set while slot `i`
     /// has deliverable messages this round.  Cleared at every round start.
     woken_bits: Vec<u64>,
-    /// The lane slots visited by the current round, in visit order.
+    /// The lane slots visited by the current round, in visit order; a slot
+    /// visited again for same-round messages appears again.
     wake_order: Vec<usize>,
+    /// Slots handed a same-round message, in send order; popped after the
+    /// round's wake-list scan until empty.
+    same_round_queue: VecDeque<usize>,
+    /// Visits the current round made from `same_round_queue`.
+    same_round_visits: u64,
+    /// Messages the current round delivered in their send round.
+    same_round_delivered: usize,
     /// Scratch: outbox buffer lent to each actor invocation.
     outbox: Vec<(NodeId, A::Msg)>,
     /// Messages addressed outside this lane, handed to the driver for
@@ -190,6 +214,7 @@ impl<A: Actor> Lane<A> {
         Lane {
             shuffle: config.shuffle_node_order,
             record_trace: config.record_trace,
+            same_round: config.delivery.is_synchronous(),
             transport: SimTransport::new(config.delivery, SimRng::new(seed)),
             nodes: Vec::new(),
             global_ids: Vec::new(),
@@ -197,6 +222,9 @@ impl<A: Actor> Lane<A> {
             timeout_flags: Vec::new(),
             woken_bits: Vec::new(),
             wake_order: Vec::new(),
+            same_round_queue: VecDeque::new(),
+            same_round_visits: 0,
+            same_round_delivered: 0,
             outbox: Vec::new(),
             xlane: Vec::new(),
             trace_buf: Vec::new(),
@@ -280,17 +308,44 @@ impl<A: Actor> Lane<A> {
     fn post_local(&mut self, from: NodeId, to: NodeId, msg: A::Msg) -> Round {
         let sent_at = self.transport.round();
         let deliver_at = self.transport.dispatch(from, to, msg);
+        self.record_send(from, to, sent_at, deliver_at);
+        deliver_at
+    }
+
+    /// Counts a posted message and traces its `Sent` event.
+    fn record_send(&mut self, from: NodeId, to: NodeId, round: Round, deliver_at: Round) {
         self.metrics.messages_sent += 1;
-        self.metrics.delays.record(deliver_at - sent_at);
+        self.metrics.delays.record(deliver_at - round);
         if self.record_trace {
             self.trace_buf.push(TraceEvent::Sent {
                 from,
                 to,
-                round: sent_at,
+                round,
                 deliver_at,
             });
         }
-        deliver_at
+    }
+
+    /// Hands a message to a co-located node for handling in the current
+    /// round: it skips the transport, goes straight onto the destination's
+    /// pending queue, and the destination joins the same-round queue.
+    fn post_same_round(&mut self, from: NodeId, to: NodeId, msg: A::Msg) {
+        let Some(slot) = self.slot_of(to) else {
+            panic!("node {from:?} declares node {to:?} co-located, but {to:?} is not hosted in its lane");
+        };
+        let round = self.transport.round();
+        self.record_send(from, to, round, round);
+        self.same_round_delivered += 1;
+        let seq = self.transport.take_seq();
+        self.nodes[slot].pending.push(Envelope {
+            from,
+            to,
+            sent_at: round,
+            deliver_at: round,
+            seq,
+            payload: msg,
+        });
+        self.same_round_queue.push_back(slot);
     }
 
     /// Delivers a slot's pending messages, fires its timeout if it is
@@ -334,16 +389,52 @@ impl<A: Actor> Lane<A> {
         let mut outbox = ctx.into_outbox();
         if !outbox.is_empty() {
             for (to, msg) in outbox.drain(..) {
-                self.post(self_id, to, msg);
+                if self.same_round && self.nodes[slot].actor.co_located(to) {
+                    self.post_same_round(self_id, to, msg);
+                } else {
+                    self.post(self_id, to, msg);
+                }
             }
         }
         self.outbox = outbox;
+    }
+
+    /// Visits, in send order, every slot a co-located sender handed a
+    /// message this round, until no such message is left.  A slot whose
+    /// queue a visit has drained since is skipped.
+    ///
+    /// # Panics
+    ///
+    /// Panics once the round has made more than
+    /// [`SAME_ROUND_VISITS_PER_NODE`] same-round visits per lane node: the
+    /// co-located actors keep messaging each other and the round would never
+    /// end.
+    fn drain_same_round(&mut self, round: Round) {
+        let limit = SAME_ROUND_VISITS_PER_NODE * self.nodes.len() as u64;
+        while let Some(slot) = self.same_round_queue.pop_front() {
+            if self.nodes[slot].pending.is_empty() {
+                continue;
+            }
+            self.same_round_visits += 1;
+            assert!(
+                self.same_round_visits <= limit,
+                "same-round delivery loop: round {round} made more than {limit} same-round \
+                 visits over {} nodes (last: node {})",
+                self.nodes.len(),
+                self.global_ids[slot]
+            );
+            self.visit_node(slot, round);
+            self.refresh_flag(slot);
+            self.wake_order.push(slot);
+        }
     }
 
     /// Executes this lane's share of one round.
     fn run_round(&mut self, round: Round) {
         let started = Instant::now();
         let sends_before = self.metrics.messages_sent;
+        self.same_round_visits = 0;
+        self.same_round_delivered = 0;
 
         // Phase 1: scatter this round's due envelopes into the per-slot
         // pending queues, marking each destination as woken.  The transport
@@ -402,6 +493,8 @@ impl<A: Actor> Lane<A> {
             }
             self.wake_order = wake;
         }
+        self.drain_same_round(round);
+        let delivered_total = delivered_total + self.same_round_delivered;
         self.metrics.nodes_visited += self.wake_order.len() as u64;
         self.metrics.messages_delivered += delivered_total as u64;
         self.delta_delivered = delivered_total;
@@ -437,6 +530,8 @@ pub struct Simulation<A: Actor> {
     /// The global node ids visited by the most recent round (merged across
     /// lanes; see [`Self::visited_last_round`]).
     merged_wake: Vec<usize>,
+    /// Scratch bitset over global ids for deduplicating `merged_wake`.
+    wake_seen: Vec<u64>,
     /// Scratch for the cross-lane router.
     xroute: Vec<(NodeId, NodeId, A::Msg)>,
     /// Messages addressed to ids this simulation does not host, waiting for
@@ -465,6 +560,7 @@ impl<A: Actor> Simulation<A> {
             metrics: SimMetrics::new(),
             trace,
             merged_wake: Vec::new(),
+            wake_seen: Vec::new(),
             xroute: Vec::new(),
             egress: Vec::new(),
             pool: None,
@@ -766,12 +862,13 @@ impl<A: Actor> Simulation<A> {
     }
 
     /// Global ids of the nodes visited by the most recent
-    /// [`Self::run_round`].  Single-lane simulations report the exact visit
-    /// order; multi-lane runs merge the per-lane lists in ascending id order
-    /// (or lane-concatenation order under shuffle).  Drivers use this to
-    /// post-process only the nodes that can have produced output — e.g.
-    /// collecting completion records — instead of sweeping every node every
-    /// round.
+    /// [`Self::run_round`], each once, even when a same-round message made
+    /// the round visit a node twice.  Single-lane simulations report the
+    /// order of first visits; multi-lane runs merge the per-lane lists in
+    /// ascending id order (or lane-concatenation order under shuffle).
+    /// Drivers use this to post-process only the nodes that can have
+    /// produced output — e.g. collecting completion records — instead of
+    /// sweeping every node every round.
     pub fn visited_last_round(&self) -> &[usize] {
         &self.merged_wake
     }
@@ -852,18 +949,33 @@ impl<A: Actor> Simulation<A> {
         parallel: bool,
         routed: u64,
     ) -> usize {
-        // Merged visit list (global ids).  One lane: the exact visit order.
-        // Multi-lane: ascending id order (the historical global visit order)
-        // or lane-concatenation order under shuffle — deterministic either
-        // way.
+        // Merged visit list (global ids), each id once.  One lane: the
+        // exact order of first visits.  Multi-lane: ascending id order (the
+        // historical global visit order) or lane-concatenation order under
+        // shuffle — deterministic either way.
         self.merged_wake.clear();
+        let mut revisits = false;
         for slot in &self.lanes {
             let lane = slot.as_ref().expect("lane present");
+            revisits |= lane.same_round_visits > 0;
             self.merged_wake
                 .extend(lane.wake_order.iter().map(|&s| lane.global_ids[s] as usize));
         }
         if self.lanes.len() > 1 && !self.config.shuffle_node_order {
             self.merged_wake.sort_unstable();
+            self.merged_wake.dedup();
+        } else if revisits {
+            let seen = &mut self.wake_seen;
+            seen.resize(self.node_loc.len().div_ceil(64), 0);
+            self.merged_wake.retain(|&id| {
+                let (word, bit) = (id / 64, 1u64 << (id % 64));
+                let first = seen[word] & bit == 0;
+                seen[word] |= bit;
+                first
+            });
+            for &id in &self.merged_wake {
+                seen[id / 64] = 0;
+            }
         }
 
         // Trace: flush per-lane buffers in lane order.
@@ -1355,6 +1467,21 @@ mod tests {
         sim.run_rounds(1);
         // All ring nodes want timeouts, so all are visited in index order.
         assert_eq!(sim.visited_last_round(), &[0, 1, 2]);
+
+        // Co-located sends: node 2 wakes alone and messages node 0, which is
+        // then visited after the scan; node 0 is listed once, after node 2.
+        let mut sim = trio_sim(1, 1, SimConfig::synchronous(4), |_| false);
+        sim.node_mut(NodeId(2)).unwrap().plan = vec![vec![0]];
+        sim.refresh_timeout_interest(NodeId(2)).unwrap();
+        sim.run_round();
+        assert_eq!(sim.visited_last_round(), &[2, 0]);
+        // A node visited by the scan and again after it is listed once.
+        let mut sim = trio_sim(1, 1, SimConfig::synchronous(4), |_| true);
+        sim.node_mut(NodeId(2)).unwrap().plan = vec![vec![0]];
+        sim.run_round();
+        assert_eq!(sim.node(NodeId(0)).unwrap().timeouts, 2);
+        assert_eq!(sim.visited_last_round(), &[0, 1, 2]);
+        assert_eq!(sim.metrics().nodes_visited, 4, "the metric counts visits");
     }
 
     #[test]
@@ -1533,6 +1660,244 @@ mod tests {
         sim.add_node_in_lane(1, Bomb);
         sim.enable_parallel(2);
         assert_eq!(sim.parallel_threads(), 2);
+        sim.run_round();
+    }
+
+    /// Nodes `3p`, `3p + 1` and `3p + 2` form process `p` and declare each
+    /// other co-located.  A walk carries the rest of its route; every
+    /// receiver logs `(sent round, handled round)` and forwards it.
+    #[derive(Debug)]
+    struct Trio {
+        me: u64,
+        awake: bool,
+        log: Vec<(Round, Round)>,
+        /// Routes to start, one per timeout.
+        plan: Vec<Vec<u64>>,
+        timeouts: u64,
+    }
+
+    #[derive(Debug, Clone)]
+    struct Walk {
+        sent_at: Round,
+        rest: Vec<u64>,
+    }
+
+    impl Trio {
+        fn walk(ctx: &mut Context<Walk>, mut route: Vec<u64>) {
+            if !route.is_empty() {
+                let next = NodeId(route.remove(0));
+                let sent_at = ctx.round();
+                ctx.send(
+                    next,
+                    Walk {
+                        sent_at,
+                        rest: route,
+                    },
+                );
+            }
+        }
+    }
+
+    impl Actor for Trio {
+        type Msg = Walk;
+
+        fn on_message(&mut self, _from: NodeId, msg: Walk, ctx: &mut Context<Walk>) {
+            self.log.push((msg.sent_at, ctx.round()));
+            Trio::walk(ctx, msg.rest);
+        }
+
+        fn on_timeout(&mut self, ctx: &mut Context<Walk>) {
+            self.timeouts += 1;
+            if !self.plan.is_empty() {
+                let route = self.plan.remove(0);
+                Trio::walk(ctx, route);
+            }
+        }
+
+        fn wants_timeout(&self) -> bool {
+            self.awake || !self.plan.is_empty()
+        }
+
+        fn co_located(&self, to: NodeId) -> bool {
+            to.0 != self.me && to.0 / 3 == self.me / 3
+        }
+    }
+
+    /// `processes` trios, process `p` in lane `p % lanes`; `awake(id)` says
+    /// which nodes want a timeout every round.
+    fn trio_sim(
+        processes: u64,
+        lanes: usize,
+        config: SimConfig,
+        awake: impl Fn(u64) -> bool,
+    ) -> Simulation<Trio> {
+        let mut sim = Simulation::new(config).unwrap();
+        sim.configure_lanes(lanes).unwrap();
+        for me in 0..3 * processes {
+            let trio = Trio {
+                me,
+                awake: awake(me),
+                log: Vec::new(),
+                plan: Vec::new(),
+                timeouts: 0,
+            };
+            sim.add_node_at((me / 3) as usize % lanes, NodeId(me), trio);
+        }
+        sim
+    }
+
+    fn log_of(sim: &Simulation<Trio>, id: u64) -> &[(Round, Round)] {
+        &sim.node(NodeId(id)).unwrap().log
+    }
+
+    #[test]
+    fn co_located_messages_are_handled_in_their_send_round() {
+        let mut sim = trio_sim(1, 1, SimConfig::synchronous(3).with_trace(), |_| true);
+        // Node 0 messages node 1, which the scan has not reached yet; node 2
+        // messages node 0, which the scan has already visited.
+        sim.node_mut(NodeId(0)).unwrap().plan = vec![vec![1]];
+        sim.node_mut(NodeId(2)).unwrap().plan = vec![vec![0]];
+        assert_eq!(sim.run_round(), 2);
+        assert_eq!(log_of(&sim, 1), &[(1, 1)]);
+        assert_eq!(log_of(&sim, 0), &[(1, 1)]);
+        // Node 1 took its message in its normal visit; node 0 was visited
+        // again, an ordinary visit with a timeout.
+        assert_eq!(sim.node(NodeId(1)).unwrap().timeouts, 1);
+        assert_eq!(sim.node(NodeId(0)).unwrap().timeouts, 2);
+        assert_eq!(sim.in_flight(), 0);
+        let m = sim.metrics();
+        assert_eq!((m.messages_sent, m.messages_delivered), (2, 2));
+        assert_eq!(m.delays.max(), Some(0));
+        let sends: Vec<(Round, Round)> = sim
+            .trace()
+            .unwrap()
+            .events()
+            .iter()
+            .filter_map(|e| match *e {
+                TraceEvent::Sent {
+                    round, deliver_at, ..
+                } => Some((round, deliver_at)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(sends, vec![(1, 1), (1, 1)]);
+    }
+
+    #[test]
+    fn a_sibling_chain_finishes_in_one_round_and_other_nodes_wait_one() {
+        let mut sim = trio_sim(2, 1, SimConfig::synchronous(5), |_| false);
+        // r → m → l inside process 0, then on to process 1's left node.
+        sim.node_mut(NodeId(2)).unwrap().plan = vec![vec![1, 0, 3]];
+        sim.refresh_timeout_interest(NodeId(2)).unwrap();
+        sim.run_round();
+        assert_eq!(log_of(&sim, 1), &[(1, 1)]);
+        assert_eq!(log_of(&sim, 0), &[(1, 1)]);
+        assert!(log_of(&sim, 3).is_empty());
+        assert_eq!(
+            sim.in_flight(),
+            1,
+            "the hop to another process is in flight"
+        );
+        sim.run_round();
+        assert_eq!(log_of(&sim, 3), &[(1, 2)]);
+        assert_eq!(sim.in_flight(), 0);
+    }
+
+    #[test]
+    fn asynchronous_models_still_delay_co_located_messages() {
+        let mut sim = trio_sim(2, 1, SimConfig::asynchronous(8, 4), |_| false);
+        for id in [2, 5] {
+            sim.node_mut(NodeId(id)).unwrap().plan = vec![vec![1, 0, 2, 1], vec![0, 2]];
+            sim.refresh_timeout_interest(NodeId(id)).unwrap();
+        }
+        sim.run_rounds(2);
+        sim.run_to_quiescence(1_000).unwrap();
+        let logs: Vec<(Round, Round)> = (0..6).flat_map(|id| log_of(&sim, id).to_vec()).collect();
+        assert_eq!(logs.len(), 12);
+        assert!(
+            logs.iter().all(|&(sent, handled)| handled > sent),
+            "{logs:?}"
+        );
+        assert!(sim.metrics().delays.min().unwrap() >= 1);
+    }
+
+    #[test]
+    fn same_round_delivery_is_identical_on_the_parallel_backend() {
+        let routed = |threads: usize| {
+            let mut sim = trio_sim(4, 2, SimConfig::synchronous(6), |id| id % 4 == 0);
+            let mut rng = SimRng::new(17);
+            for p in 0..4u64 {
+                // Walks inside process p and to the processes of its lane.
+                let route: Vec<u64> = (0..30)
+                    .map(|_| 3 * (p % 2 + 2 * rng.gen_range(2)) + rng.gen_range(3))
+                    .collect();
+                sim.node_mut(NodeId(3 * p + 2)).unwrap().plan = vec![route.clone(), route];
+                sim.refresh_timeout_interest(NodeId(3 * p + 2)).unwrap();
+            }
+            sim.enable_parallel(threads);
+            let mut visited = Vec::new();
+            for _ in 0..40 {
+                sim.run_round();
+                visited.push(sim.visited_last_round().to_vec());
+            }
+            let logs: Vec<Vec<(Round, Round)>> =
+                (0..12).map(|id| log_of(&sim, id).to_vec()).collect();
+            (visited, logs, sim.metrics().nodes_visited)
+        };
+        let serial = routed(1);
+        assert!(serial.1.iter().flatten().any(|&(s, h)| s == h));
+        assert_eq!(serial, routed(2));
+    }
+
+    #[test]
+    #[should_panic(expected = "declares node n2 co-located, but n2 is not hosted in its lane")]
+    fn a_co_located_node_in_another_lane_panics() {
+        let mut sim = Simulation::new(SimConfig::synchronous(1)).unwrap();
+        sim.configure_lanes(2).unwrap();
+        for me in 0..3u64 {
+            let trio = Trio {
+                me,
+                awake: false,
+                log: Vec::new(),
+                plan: Vec::new(),
+                timeouts: 0,
+            };
+            sim.add_node_at(usize::from(me == 2), NodeId(me), trio);
+        }
+        sim.node_mut(NodeId(0)).unwrap().plan = vec![vec![2]];
+        sim.refresh_timeout_interest(NodeId(0)).unwrap();
+        sim.run_round();
+    }
+
+    /// Two co-located nodes that answer every message with another.
+    #[derive(Debug)]
+    struct PingPong;
+
+    impl Actor for PingPong {
+        type Msg = ();
+
+        fn on_message(&mut self, from: NodeId, _msg: (), ctx: &mut Context<()>) {
+            ctx.send(from, ());
+        }
+
+        fn on_timeout(&mut self, _ctx: &mut Context<()>) {}
+
+        fn wants_timeout(&self) -> bool {
+            false
+        }
+
+        fn co_located(&self, _to: NodeId) -> bool {
+            true
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "same-round delivery loop")]
+    fn a_same_round_ping_pong_panics_instead_of_hanging() {
+        let mut sim = Simulation::synchronous(1);
+        let a = sim.add_node(PingPong);
+        let b = sim.add_node(PingPong);
+        sim.inject(a, b, ()).unwrap();
         sim.run_round();
     }
 

